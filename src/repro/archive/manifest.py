@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from datetime import date, datetime
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 from repro.archive.cas import ContentStore, OBJECTS_DIR
 from repro.archive.io import atomic_write_bytes
@@ -47,8 +48,24 @@ MANIFEST_SCHEMA = 1
 CATALOG_SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+#: The stored level value of a trust anchor (``TrustLevel.TRUSTED``).
+_TRUSTED = TrustLevel.TRUSTED.value
+
+
+def _trusted_for(trust, purpose_value: str) -> bool:
+    """Whether the first stored level for the purpose is "trusted".
+
+    Works on raw ``(purpose value, level value)`` string pairs — stored
+    tuples or decoded JSON lists alike — so filtering a manifest by
+    purpose never constructs a :class:`TrustLevel` per entry.
+    """
+    for value, level in trust:
+        if value == purpose_value:
+            return level == _TRUSTED
+    return False
+
+
+class ManifestEntry(NamedTuple):
     """One trust entry as stored: fingerprint + non-derivable context."""
 
     fingerprint: str
@@ -82,24 +99,80 @@ class ManifestEntry:
         return None
 
     def is_trusted_for(self, purpose: TrustPurpose) -> bool:
-        return self.level_for(purpose) is TrustLevel.TRUSTED
+        return _trusted_for(self.trust, purpose.value)
 
 
-@dataclass(frozen=True)
+def _malformed(exc: Exception) -> ArchiveError:
+    return ArchiveError(f"malformed manifest payload: {exc}")
+
+
+_ROW_ERRORS = (KeyError, TypeError, ValueError)
+
+
 class SnapshotManifest:
-    """The stored form of one :class:`RootStoreSnapshot`."""
+    """The stored form of one :class:`RootStoreSnapshot`.
 
-    provider: str
-    version: str
-    taken_at: date
-    entries: tuple[ManifestEntry, ...]
-    #: Fingerprint → entry map, built lazily for point lookups.
-    _index: dict = field(default=None, init=False, repr=False, compare=False)
-    #: Canonical serialization, computed once — the ingest path asks for
-    #: ``manifest_id`` several times per snapshot (catalog row, journal
-    #: intent, store name) and each recompute is a full JSON encode.
-    _serialized: bytes = field(default=None, init=False, repr=False, compare=False)
-    _manifest_id: str = field(default=None, init=False, repr=False, compare=False)
+    Immutable.  A manifest built from entries holds them directly.  A
+    manifest decoded from a payload holds the payload's entry rows and
+    builds :class:`ManifestEntry` records only when :attr:`entries` (or
+    a point lookup) first asks for them; :meth:`fingerprints` and
+    :meth:`serialize` answer from the rows, which is all a bulk scan
+    needs.  When the canonical bytes are known too (every verified read
+    from disk), the rows are handed to one view and then dropped — the
+    bytes decode them again on demand — so a cached manifest keeps one
+    compact bytes object instead of a tree of JSON containers that
+    every garbage-collector pass would traverse.  Materializing the
+    entries drops rows and bytes alike: a manifest never holds both
+    forms.
+    """
+
+    def __init__(
+        self,
+        provider: str,
+        version: str,
+        taken_at: date,
+        entries: Iterable[ManifestEntry],
+    ):
+        init = object.__setattr__
+        init(self, "provider", provider)
+        init(self, "version", version)
+        init(self, "taken_at", taken_at)
+        init(self, "_entries", tuple(entries))
+        #: Decoded payload rows not yet materialized, or None.
+        init(self, "_rows", None)
+        #: purpose → fingerprint set, memoized while entries are not
+        #: materialized (re-deriving a set then costs a JSON decode).
+        init(self, "_sets", None)
+        #: Fingerprint → entry map, built lazily for point lookups.
+        init(self, "_index", None)
+        #: Canonical serialization, computed once — the ingest path asks for
+        #: ``manifest_id`` several times per snapshot (catalog row, journal
+        #: intent, store name) and each recompute is a full JSON encode.
+        init(self, "_serialized", None)
+        init(self, "_manifest_id", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.provider, self.version, self.taken_at, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SnapshotManifest(provider={self.provider!r}, version={self.version!r}, "
+            f"taken_at={self.taken_at!r}, entries=<{len(self)}>)"
+        )
 
     @classmethod
     def from_snapshot(cls, snapshot: RootStoreSnapshot) -> "SnapshotManifest":
@@ -113,39 +186,58 @@ class SnapshotManifest:
     # -- serialization ---------------------------------------------------
 
     def to_payload(self) -> dict:
+        rows = self._lazy_rows()
+        triples = (
+            self._entries
+            if rows is None
+            else ((row["fingerprint"], row["trust"], row["distrust_after"]) for row in rows)
+        )
+        try:
+            entries = [
+                {
+                    "fingerprint": fingerprint,
+                    "trust": [[p, lv] for p, lv in trust],
+                    "distrust_after": distrust_after,
+                }
+                for fingerprint, trust, distrust_after in triples
+            ]
+        except _ROW_ERRORS as exc:
+            raise _malformed(exc) from exc
         return {
             "schema": MANIFEST_SCHEMA,
             "provider": self.provider,
             "version": self.version,
             "taken_at": self.taken_at.isoformat(),
-            "entries": [
-                {
-                    "fingerprint": e.fingerprint,
-                    "trust": [[p, lv] for p, lv in e.trust],
-                    "distrust_after": e.distrust_after,
-                }
-                for e in self.entries
-            ],
+            "entries": entries,
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "SnapshotManifest":
+    def from_payload(
+        cls, payload: dict, *, serialized: bytes | None = None
+    ) -> "SnapshotManifest":
+        """Decode a payload; entry rows are checked when first read.
+
+        ``serialized`` is the payload's canonical encoding when the
+        caller has it (a content-verified read): it becomes the
+        :meth:`serialize` result and lets the rows be re-decoded on
+        demand instead of kept.
+        """
         try:
-            return cls(
+            manifest = cls(
                 provider=payload["provider"],
                 version=payload["version"],
                 taken_at=date.fromisoformat(payload["taken_at"]),
-                entries=tuple(
-                    ManifestEntry(
-                        fingerprint=e["fingerprint"],
-                        trust=tuple((p, lv) for p, lv in e["trust"]),
-                        distrust_after=e["distrust_after"],
-                    )
-                    for e in payload["entries"]
-                ),
+                entries=(),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArchiveError(f"malformed manifest payload: {exc}") from exc
+            rows = _entry_rows(payload)
+        except _ROW_ERRORS as exc:
+            raise _malformed(exc) from exc
+        init = object.__setattr__
+        init(manifest, "_entries", None)
+        init(manifest, "_rows", rows)
+        init(manifest, "_sets", {})
+        init(manifest, "_serialized", serialized)
+        return manifest
 
     def serialize(self) -> bytes:
         serialized = self._serialized
@@ -167,6 +259,50 @@ class SnapshotManifest:
 
     # -- views -----------------------------------------------------------
 
+    def _lazy_rows(self) -> list | None:
+        """The entry rows while entries are unmaterialized, else None.
+
+        Rows that the canonical bytes can reproduce are handed out once
+        and dropped; later calls decode the bytes again.  Writers set
+        ``_entries`` before clearing rows and bytes, so a reader that
+        finds neither finds the entries.
+        """
+        rows, data = self._rows, self._serialized
+        if rows is not None:
+            if data is not None:
+                object.__setattr__(self, "_rows", None)
+            return rows
+        if data is None or self._entries is not None:
+            return None
+        try:
+            return _entry_rows(json.loads(data))
+        except _ROW_ERRORS as exc:
+            raise _malformed(exc) from exc
+
+    @property
+    def entries(self) -> tuple[ManifestEntry, ...]:
+        entries = self._entries
+        if entries is not None:
+            return entries
+        rows = self._lazy_rows()
+        if rows is None:
+            return self._entries
+        try:
+            entries = tuple(
+                ManifestEntry(
+                    row["fingerprint"],
+                    tuple((p, lv) for p, lv in row["trust"]),
+                    row["distrust_after"],
+                )
+                for row in rows
+            )
+        except _ROW_ERRORS as exc:
+            raise _malformed(exc) from exc
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_serialized", None)
+        return entries
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -187,10 +323,42 @@ class SnapshotManifest:
         Mirrors :meth:`RootStoreSnapshot.fingerprints`: the manifest
         stores the full purpose→level map, so archive-backed analyses
         can filter by trust purpose without reconstructing certificates.
+        The filter compares the stored strings and runs on undecoded
+        rows as readily as on entries.
         """
-        if purpose is None:
-            return frozenset(self.entry_index)
-        return frozenset(e.fingerprint for e in self.entries if e.is_trusted_for(purpose))
+        sets = self._sets
+        if sets is None:
+            return self._fingerprints(purpose)
+        found = sets.get(purpose)
+        if found is None:
+            found = sets[purpose] = self._fingerprints(purpose)
+        return found
+
+    def _fingerprints(self, purpose: TrustPurpose | None) -> frozenset[str]:
+        rows = self._lazy_rows()
+        if rows is None:
+            if purpose is None:
+                return frozenset(e.fingerprint for e in self._entries)
+            value = purpose.value
+            return frozenset(
+                e.fingerprint for e in self._entries if _trusted_for(e.trust, value)
+            )
+        try:
+            if purpose is None:
+                return frozenset(row["fingerprint"] for row in rows)
+            value = purpose.value
+            return frozenset(
+                row["fingerprint"] for row in rows if _trusted_for(row["trust"], value)
+            )
+        except _ROW_ERRORS as exc:
+            raise _malformed(exc) from exc
+
+
+def _entry_rows(payload: dict) -> list:
+    rows = payload["entries"]
+    if not isinstance(rows, list):
+        raise TypeError(f"entries is a {type(rows).__name__}, not a list")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -331,7 +499,7 @@ class Archive:
             payload = json.loads(data)
         except ValueError as exc:
             raise ArchiveError(f"manifest {path} is not valid JSON: {exc}") from exc
-        return SnapshotManifest.from_payload(payload)
+        return SnapshotManifest.from_payload(payload, serialized=data)
 
     def manifest_files(self) -> list[tuple[str, str, Path]]:
         """Every (provider, manifest_id, path) present on disk, sorted."""

@@ -145,8 +145,8 @@ def _bench_cold_start(archive: Archive, *, rounds: int) -> dict:
 
 def _check_equivalence(archive: Archive) -> dict:
     """Element-wise identity between the JSON and binary query paths."""
-    json_engine = ArchiveQuery(archive)  # default loader: persisted JSON
-    binary_engine = ArchiveQuery(archive, index_loader=load_binary_index)
+    json_engine = ArchiveQuery(archive, index_loader=load_index)
+    binary_engine = ArchiveQuery(archive)  # default loader: trust.bin
     fingerprints, dates = _probe_space(json_engine)
 
     index_identical = (

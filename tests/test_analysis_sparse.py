@@ -24,6 +24,7 @@ from repro.analysis import (
     overlap_distances,
 )
 from repro.analysis.sparse import (
+    DEFAULT_BLOCK_ROWS,
     SparseIncidence,
     blocked_jaccard_distances,
     blocked_overlap_distances,
@@ -259,3 +260,76 @@ class TestLandmarkSelection:
             cross_distances(sparse, [0], metric="euclid")
         with pytest.raises(AnalysisError):
             cross_distances(sparse, [7])
+
+
+def _strip_by_strip_landmarks(sparse, k, *, metric="jaccard", first=0):
+    """Reference maxmin: one fresh :func:`cross_distances` strip per landmark."""
+    chosen = [first]
+    min_distance = cross_distances(sparse, [first], metric=metric)[0].copy()
+    min_distance[first] = -1.0
+    for _ in range(k - 1):
+        candidate = int(np.argmax(min_distance))
+        chosen.append(candidate)
+        strip = cross_distances(sparse, [candidate], metric=metric)[0]
+        np.minimum(min_distance, strip, out=min_distance)
+        min_distance[candidate] = -1.0
+    return tuple(sorted(chosen))
+
+
+def _random_corpus(n, seed, universe=40):
+    """Random sets with empty rows and exact duplicates mixed in."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for row in range(n):
+        draw = rng.random()
+        if draw < 0.05:
+            sets.append(frozenset())
+        elif draw < 0.2 and sets:
+            sets.append(sets[int(rng.integers(len(sets)))])
+        else:
+            size = int(rng.integers(1, 12))
+            sets.append(frozenset(f"fp-{c:02d}" for c in rng.choice(universe, size, replace=False)))
+    return sparse_from_sets(_labels(n), sets)
+
+
+class TestLandmarkSlabReuse:
+    """``maxmin_landmarks`` densifies each column block once, same answers."""
+
+    SIZES = (
+        DEFAULT_BLOCK_ROWS - 7,  # below one whole block
+        DEFAULT_BLOCK_ROWS,  # exactly one
+        2 * DEFAULT_BLOCK_ROWS,  # exactly two
+        2 * DEFAULT_BLOCK_ROWS + 13,  # a ragged final block
+    )
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_matches_strip_by_strip_reference(self, n, seed):
+        sparse = _random_corpus(n, seed)
+        for metric in ("jaccard", "overlap"):
+            for first in (0, n - 1):
+                assert maxmin_landmarks(sparse, 16, metric=metric, first=first) == (
+                    _strip_by_strip_landmarks(sparse, 16, metric=metric, first=first)
+                ), (metric, first)
+
+    def test_small_corpora_with_empty_and_duplicate_rows(self):
+        sets = [frozenset(), frozenset({"a"}), frozenset({"a"}), frozenset(), frozenset({"b", "c"})]
+        sparse = sparse_from_sets(_labels(len(sets)), sets)
+        for k in range(2, len(sets) + 1):
+            assert maxmin_landmarks(sparse, k) == _strip_by_strip_landmarks(sparse, k)
+        empty = sparse_from_sets(_labels(3), [frozenset()] * 3)
+        assert maxmin_landmarks(empty, 3) == _strip_by_strip_landmarks(empty, 3)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_slab_densified_once_per_column_block(self, n, monkeypatch):
+        sparse = _random_corpus(n, seed=2)
+        calls = []
+        original = SparseIncidence.slab
+
+        def counting_slab(self, start, stop):
+            calls.append(start)
+            return original(self, start, stop)
+
+        monkeypatch.setattr(SparseIncidence, "slab", counting_slab)
+        maxmin_landmarks(sparse, 24)
+        assert sorted(calls) == list(range(0, n, DEFAULT_BLOCK_ROWS))

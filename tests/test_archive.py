@@ -26,10 +26,11 @@ from repro.archive import (
     load_index,
     verify_archive,
 )
+from repro.archive.binindex import BinaryIndex, binary_index_path, persist_binary_index
 from repro.archive.index import ArchiveIndex, TimelineEntry
 from repro.archive.query import _LRUCache
 from repro.errors import ArchiveCorruptionError, ArchiveError, ArchiveStaleError
-from repro.store.purposes import TrustPurpose
+from repro.store.purposes import TrustLevel, TrustPurpose
 
 
 @pytest.fixture(scope="session")
@@ -146,6 +147,126 @@ class TestManifest:
         b = SnapshotManifest.from_snapshot(dataset["nss"].snapshots[0])
         assert a.manifest_id != b.manifest_id
         assert a.manifest_id == SnapshotManifest.from_payload(a.to_payload()).manifest_id
+
+
+class TestManifestDecode:
+    """The bulk-scan decode path: purpose filters straight from stored rows."""
+
+    PURPOSES = (None, *TrustPurpose)
+
+    @staticmethod
+    def _reference(manifest, purpose):
+        return frozenset(
+            e.fingerprint
+            for e in manifest.entries
+            if purpose is None or e.level_for(purpose) is TrustLevel.TRUSTED
+        )
+
+    def test_fingerprints_match_entries_before_and_after_materializing(self, archive_dir):
+        archive = Archive(archive_dir)
+        for row in archive.read_catalog():
+            reference = archive.read_manifest(row.provider, row.manifest_id)
+            lazy = archive.read_manifest(row.provider, row.manifest_id)
+            materialized = archive.read_manifest(row.provider, row.manifest_id)
+            materialized.entries  # noqa: B018 - materialize before filtering
+            for purpose in self.PURPOSES:
+                expected = self._reference(reference, purpose)
+                assert lazy.fingerprints(purpose) == expected, (row.key, purpose)
+                assert materialized.fingerprints(purpose) == expected, (row.key, purpose)
+            lazy.entries  # noqa: B018 - and the memoized sets still agree afterwards
+            for purpose in self.PURPOSES:
+                assert lazy.fingerprints(purpose) == self._reference(lazy, purpose)
+
+    def test_purpose_filter_matches_live_snapshots(self, dataset, archive_dir):
+        archive = Archive(archive_dir)
+        for provider in ("nss", "microsoft", "apple"):
+            for snapshot in dataset[provider].snapshots[-3:]:
+                manifest_id = SnapshotManifest.from_snapshot(snapshot).manifest_id
+                stored = archive.read_manifest(provider, manifest_id)
+                for purpose in self.PURPOSES:
+                    assert stored.fingerprints(purpose) == snapshot.fingerprints(purpose)
+
+    def test_first_stored_level_decides(self):
+        """Row filter and entry records agree on a repeated purpose."""
+        payload = {
+            "provider": "p",
+            "version": "1",
+            "taken_at": "2020-01-01",
+            "entries": [
+                {
+                    "fingerprint": "ab" * 32,
+                    "trust": [["server-auth", "distrusted"], ["server-auth", "trusted"]],
+                    "distrust_after": None,
+                },
+                {
+                    "fingerprint": "cd" * 32,
+                    "trust": [["email", "trusted"], ["server-auth", "trusted"]],
+                    "distrust_after": None,
+                },
+            ],
+        }
+        manifest = SnapshotManifest.from_payload(payload)
+        assert manifest.fingerprints(TrustPurpose.SERVER_AUTH) == {"cd" * 32}
+        first, second = manifest.entries
+        assert first.level_for(TrustPurpose.SERVER_AUTH) is TrustLevel.DISTRUSTED
+        assert not first.is_trusted_for(TrustPurpose.SERVER_AUTH)
+        assert second.is_trusted_for(TrustPurpose.EMAIL_PROTECTION)
+
+    def test_disk_read_equals_snapshot_twin(self, dataset, archive_dir):
+        archive = Archive(archive_dir)
+        for snapshot in (dataset["nss"].latest(), dataset["java"].snapshots[0]):
+            twin = SnapshotManifest.from_snapshot(snapshot)
+            stored = archive.read_manifest(snapshot.provider, twin.manifest_id)
+            assert stored.serialize() == twin.serialize()
+            assert stored.manifest_id == twin.manifest_id
+            assert stored == twin
+            assert len(stored) == len(twin)
+            # Materialized, it still re-encodes to the same canonical bytes.
+            assert stored.serialize() == twin.serialize()
+            assert stored.get(twin.entries[0].fingerprint) == twin.entries[0]
+
+    def test_cached_manifest_holds_one_form(self, archive_dir):
+        archive = Archive(archive_dir)
+        row = archive.read_catalog()[0]
+        manifest = archive.read_manifest(row.provider, row.manifest_id)
+        manifest.fingerprints(TrustPurpose.SERVER_AUTH)
+        # After one view the decoded rows are gone; the verified bytes remain.
+        assert manifest._rows is None and manifest._serialized is not None
+        manifest.entry_index  # noqa: B018 - a point lookup materializes
+        assert manifest._rows is None and manifest._serialized is None
+        assert manifest._entries is not None
+
+    def test_manifest_is_immutable(self, dataset):
+        manifest = SnapshotManifest.from_snapshot(dataset["nss"].latest())
+        with pytest.raises(AttributeError):
+            manifest.provider = "other"
+
+    def test_flipped_byte_raises_on_read(self, archive_dir, tmp_path):
+        archive = _copy_archive(archive_dir, tmp_path)
+        row = archive.read_catalog()[0]
+        path = archive.manifest_path(row.provider, row.manifest_id)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(ArchiveCorruptionError) as excinfo:
+            archive.read_manifest(row.provider, row.manifest_id)
+        assert excinfo.value.fingerprint == row.manifest_id
+        with pytest.raises(ArchiveCorruptionError):
+            ArchiveQuery(archive).incidence(sparse=True)
+
+    def test_malformed_rows_raise_archive_error(self):
+        payload = {
+            "provider": "p",
+            "version": "1",
+            "taken_at": "2020-01-01",
+            "entries": [{"fingerprint": "ab" * 32, "distrust_after": None}],
+        }
+        with pytest.raises(ArchiveError, match="malformed manifest payload"):
+            SnapshotManifest.from_payload(payload).fingerprints(TrustPurpose.SERVER_AUTH)
+        with pytest.raises(ArchiveError, match="malformed manifest payload"):
+            SnapshotManifest.from_payload(payload).entries  # noqa: B018
+        with pytest.raises(ArchiveError, match="malformed manifest payload"):
+            SnapshotManifest.from_payload({**payload, "entries": {}})
 
 
 class TestQuery:
@@ -312,6 +433,78 @@ class TestIndex:
         assert index.in_force("p", date(2022, 1, 1)).version == "v2"
 
 
+def _query_answers(engine: ArchiveQuery, fingerprints, dates) -> dict:
+    """Every read-path answer the default-loader contract covers."""
+    dense = engine.incidence()
+    sparse = engine.incidence(sparse=True)
+    distances = engine.distance_matrix()
+    return {
+        "incidence": (dense.labels, dense.fingerprints, dense.matrix.tobytes()),
+        "sparse": (
+            sparse.labels,
+            sparse.fingerprints,
+            sparse.indptr.tobytes(),
+            sparse.indices.tobytes(),
+        ),
+        "distance_matrix": (distances.labels, distances.matrix.tobytes()),
+        "trusted_on_many": [
+            engine.trusted_on_many(fingerprints, when, purpose=purpose)
+            for when in dates
+            for purpose in (TrustPurpose.SERVER_AUTH, None)
+        ],
+        "ever_shipped": [engine.ever_shipped(fp) for fp in fingerprints],
+        "removal_lags": [
+            engine.removal_lags(fp, reference=date(2015, 1, 1)) for fp in fingerprints
+        ],
+        "quarantined": engine.quarantined,
+    }
+
+
+class TestDefaultLoader:
+    """``ArchiveQuery`` opens ``trust.bin`` and answers as the JSON index does."""
+
+    DATES = (date(2012, 3, 1), date(2018, 6, 1), date(2021, 1, 1))
+
+    @pytest.fixture(scope="class")
+    def probes(self, archive_dir):
+        fingerprints = sorted(load_index(Archive(archive_dir)).postings)[::40]
+        return fingerprints + ["00" * 32]  # plus one the archive never saw
+
+    @pytest.fixture(scope="class")
+    def reference(self, archive_dir, probes):
+        engine = ArchiveQuery(archive_dir, index_loader=load_index)
+        assert isinstance(engine.index, ArchiveIndex)
+        return _query_answers(engine, probes, self.DATES)
+
+    def test_default_opens_binary_index(self, archive_dir):
+        assert isinstance(ArchiveQuery(archive_dir).index, BinaryIndex)
+
+    def test_answers_identical_to_json_loader(self, archive_dir, probes, reference):
+        answers = _query_answers(ArchiveQuery(archive_dir), probes, self.DATES)
+        for key, expected in reference.items():
+            assert answers[key] == expected, key
+
+    def test_missing_trust_bin_is_rebuilt(self, archive_dir, probes, reference, tmp_path):
+        archive = _copy_archive(archive_dir, tmp_path)
+        binary_index_path(archive).unlink()
+        engine = ArchiveQuery(archive)
+        assert isinstance(engine.index, BinaryIndex)
+        assert binary_index_path(archive).exists()
+        assert _query_answers(engine, probes, self.DATES) == reference
+
+    def test_stale_trust_bin_is_rebuilt(self, archive_dir, probes, reference, tmp_path):
+        archive = _copy_archive(archive_dir, tmp_path)
+        index = load_index(archive)
+        stale = ArchiveIndex(
+            catalog_hash="0" * 64, postings=index.postings, timelines=index.timelines
+        )
+        persist_binary_index(archive, stale)
+        engine = ArchiveQuery(archive)
+        assert engine.index.catalog_hash == archive.catalog_hash()
+        assert BinaryIndex(binary_index_path(archive)).catalog_hash == archive.catalog_hash()
+        assert _query_answers(engine, probes, self.DATES) == reference
+
+
 class TestLRUCache:
     def test_zero_maxsize_disables_caching(self):
         cache = _LRUCache(0)
@@ -372,6 +565,20 @@ class TestStaleCatalogDetection:
         assert engine.timeline(providers[1])
         assert engine.catalog_hash == archive.catalog_hash()
         assert sorted(engine.providers) == sorted(providers[:2])
+
+    def test_refresh_mode_dataset_follows_reingest(self, dataset, tmp_path):
+        """``dataset()`` re-checks freshness before it lists providers."""
+        archive, providers, engine = self._seeded(
+            dataset, tmp_path, refresh_on_stale=True
+        )
+        assert engine.dataset().providers == [providers[0]]
+        ingest_dataset(archive, dataset, providers=providers[:2])
+        assert sorted(engine.dataset().providers) == sorted(providers[:2])
+        # A provider dropped from the catalog disappears instead of raising.
+        archive.write_catalog(
+            [r for r in archive.read_catalog() if r.provider != providers[0]]
+        )
+        assert engine.dataset().providers == [providers[1]]
 
     def test_byte_identical_rewrite_is_not_stale(self, dataset, tmp_path):
         archive, providers, engine = self._seeded(dataset, tmp_path)

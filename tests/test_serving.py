@@ -229,8 +229,8 @@ class TestBinaryQueryEquivalence:
     @pytest.fixture(scope="class")
     def engines(self, served_archive):
         return (
-            ArchiveQuery(served_archive),  # persisted-JSON loader
-            ArchiveQuery(served_archive, index_loader=load_binary_index),
+            ArchiveQuery(served_archive, index_loader=load_index),
+            ArchiveQuery(served_archive),  # default loader: trust.bin
         )
 
     def test_loader_is_the_binary_index(self, engines):
