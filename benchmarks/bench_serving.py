@@ -4,14 +4,13 @@
 Runs :func:`repro.bench.run_serving_suite` on the complete seeded
 corpus and enforces the serving promises:
 
-- the binary-index cold start (header read + mmap) beats the
-  JSON-parse path by ≥ 10x, and
+- the ``trust.bin`` cold start (header read + mmap) beats the full
+  checksummed decode of the same file by ≥ 10x, and
 - a batched daemon round trip at concurrency 1 stays within 5x of the
   same warm in-process ``trusted_on_many`` batch.
 
-Correctness gates are enforced unconditionally — the mmap-backed index
-answers element-wise identically to the JSON path on every probe —
-while the floors apply in full mode only.  The committed
+The floors apply in full mode only; query equivalence is gated in
+``tests/test_serving.py``, not here.  The committed
 ``BENCH_serving.json`` is the capacity record quoted by
 ``docs/serving.md``; regenerate it with
 ``repro-roots archive bench-serving`` after changes to the codec, the
@@ -38,19 +37,17 @@ def test_serving_suite(benchmark, dataset, capsys, tmp_path):
 
     emit(capsys, "\n".join(suite.summary_lines()))
 
-    # Correctness gates hold in every mode.
-    assert results["equivalence"]["ok"] is True
     assert len(results["daemon"]["levels"]) >= 3
     assert output.exists()
 
     if is_smoke_mode():
-        return  # tiny inputs: the timing ratios are noise, stop at correctness
+        return  # tiny inputs: the timing ratios are noise, stop at the shape checks
 
     cold = results["cold_start"]
     assert cold["floor"]["met"] is True, (
         f"binary-index cold start {cold['speedup']:.1f}x fell below the "
-        f"{MIN_COLD_SPEEDUP:.0f}x floor (json {cold['json_s'] * 1e3:.2f} ms, "
-        f"binary {cold['binary_s'] * 1e3:.3f} ms)"
+        f"{MIN_COLD_SPEEDUP:.0f}x floor (full decode {cold['decode_s'] * 1e3:.2f} ms, "
+        f"header open {cold['binary_s'] * 1e3:.3f} ms)"
     )
     overhead = results["daemon"]["overhead"]
     assert overhead["floor"]["met"] is True, (

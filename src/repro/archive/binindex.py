@@ -1,18 +1,11 @@
-"""The compact binary on-disk index (``index/trust.bin``).
+"""The persisted trust index (``index/trust.bin``).
 
-The JSON index pair (:mod:`repro.archive.index`) is the durable,
-human-auditable format, but loading it costs a full ``json.loads`` of
-every posting before the first query can run — ~0.3 s of parse per
-process on the seeded corpus, paid again by every worker.  This module
-packs the same :class:`~repro.archive.index.ArchiveIndex` into one
-struct-packed, versioned-header, checksummed file laid out for
-``mmap``:
+One struct-packed, versioned-header, checksummed file holds the
+:class:`~repro.archive.index.ArchiveIndex`, laid out for ``mmap``:
 
 - **header** (104 bytes): magic, schema, the catalog hash the index
   was built from, a SHA-256 of the payload, section counts, and the
-  fixed field widths.  Opening validates *only* the header — cold
-  start is O(header read), and N pre-forked workers share the mapped
-  pages instead of holding N parsed copies.
+  fixed field widths.
 - **provider table**: fixed-width name + the (offset, count) of the
   provider's slice of the global timeline array.
 - **timeline records**: fixed-width ``(taken_at, entries,
@@ -25,13 +18,22 @@ struct-packed, versioned-header, checksummed file laid out for
   ``u32`` global timeline indexes — one lookup decodes one posting
   list, nothing else.
 
+The file is read two ways.  Query engines open it by header only
+(:func:`load_binary_index`): cold start is O(header read), and N
+pre-forked workers share the mapped pages instead of holding N parsed
+copies; the payload checksum is *not* verified on that path — it
+would defeat the zero-parse open — only by ``archive verify`` and
+``archive repair`` (:func:`check_binary_index`), which treat a
+mismatch as crash damage to quarantine and rebuild.  Writers decode it
+whole (:func:`read_verified_index`, the delta base of a commit and
+``load_index``'s fresh path), and that decode verifies the checksum
+first, so a damaged file is rebuilt from manifests rather than patched
+and re-checksummed as if it were valid.
+
 The encoding is a pure deterministic function of the
 :class:`ArchiveIndex`, so the delta-maintained file is byte-identical
 to a full rebuild (the kill-matrix property) and repair converges by
-rebuilding.  The payload checksum is *not* verified on open — that
-would defeat the zero-parse cold start — only by ``archive verify``
-and ``archive repair`` (:func:`check_binary_index`), which treat a
-mismatch as crash damage to quarantine and rebuild.
+rebuilding.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def encode_binary_index(index: ArchiveIndex) -> bytes:
 
 
 def persist_binary_index(archive: Archive, index: ArchiveIndex) -> None:
-    """Atomically install ``trust.bin`` (same "index" crash site as JSON)."""
+    """Atomically install ``trust.bin`` under the "index" crash site."""
     path = binary_index_path(archive)
     path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(path, encode_binary_index(index), site="index")
@@ -202,6 +204,31 @@ class _Header:
                 f"payload length {self.payload_len} disagrees with section "
                 f"counts (expect {expected})"
             )
+
+
+def _decode_providers(buffer, header: _Header) -> list[tuple[str, int, int]]:
+    """The provider table: ``(name, timeline offset, timeline count)`` rows."""
+    table = []
+    for k in range(header.n_providers):
+        at = header.providers_at + k * header.provider_record
+        name = buffer[at : at + header.provider_width].rstrip(b"\x00")
+        offset, count = _RANGE.unpack_from(buffer, at + header.provider_width)
+        table.append((name.decode("utf-8"), offset, count))
+    return table
+
+
+def _decode_timeline(buffer, header: _Header, position: int) -> TimelineEntry:
+    """The timeline record at global index ``position``."""
+    at = header.timelines_at + position * header.timeline_record
+    ordinal, entries, manifest_raw = _TIMELINE_FIXED.unpack_from(buffer, at)
+    version_at = at + _TIMELINE_FIXED.size
+    version = buffer[version_at : version_at + header.version_width]
+    return TimelineEntry(
+        taken_at=date.fromordinal(ordinal),
+        version=version.rstrip(b"\x00").decode("utf-8"),
+        manifest_id=manifest_raw.hex(),
+        entries=entries,
+    )
 
 
 class _PostingsView(Mapping):
@@ -290,13 +317,7 @@ class BinaryIndex:
 
     def _providers(self) -> list[tuple[str, int, int]]:
         if self._provider_table is None:
-            header, table = self._header, []
-            for k in range(header.n_providers):
-                at = header.providers_at + k * header.provider_record
-                name = self._map[at : at + header.provider_width].rstrip(b"\x00")
-                offset, count = _RANGE.unpack_from(self._map, at + header.provider_width)
-                table.append((name.decode("utf-8"), offset, count))
-            self._provider_table = table
+            self._provider_table = _decode_providers(self._map, self._header)
         return self._provider_table
 
     @property
@@ -319,21 +340,10 @@ class BinaryIndex:
 
     def _timeline_entry(self, position: int) -> TimelineEntry:
         cached = self._timeline_cache.get(position)
-        if cached is not None:
-            return cached
-        header = self._header
-        at = header.timelines_at + position * header.timeline_record
-        ordinal, entries, manifest_raw = _TIMELINE_FIXED.unpack_from(self._map, at)
-        version_at = at + _TIMELINE_FIXED.size
-        version = self._map[version_at : version_at + header.version_width]
-        entry = TimelineEntry(
-            taken_at=date.fromordinal(ordinal),
-            version=version.rstrip(b"\x00").decode("utf-8"),
-            manifest_id=manifest_raw.hex(),
-            entries=entries,
-        )
-        self._timeline_cache[position] = entry
-        return entry
+        if cached is None:
+            cached = _decode_timeline(self._map, self._header, position)
+            self._timeline_cache[position] = cached
+        return cached
 
     def _provider_range(self, provider: str) -> tuple[int, int]:
         for name, offset, count in self._providers():
@@ -436,15 +446,43 @@ class BinaryIndex:
         position = self._find_fingerprint(fingerprint)
         return () if position is None else self._postings_at(position)
 
-    # -- materialization (tests / tooling) --------------------------------
+    # -- materialization ----------------------------------------------------
 
     def to_archive_index(self) -> ArchiveIndex:
-        """Fully decode into a plain ``ArchiveIndex`` (equivalence tests)."""
-        return ArchiveIndex(
-            catalog_hash=self.catalog_hash,
-            postings={fp: self.postings[fp] for fp in self.postings},
-            timelines={p: self.timeline(p) for p in self.providers},
-        )
+        """Decode the whole file into a plain ``ArchiveIndex``.
+
+        The payload SHA-256 is verified first (:class:`ArchiveError` on
+        a mismatch), so the result is never built from damaged bytes.
+        Decoding then runs over one copy of the file: one ``Posting`` per
+        timeline record, shared by every posting list that references
+        it, and the posting ranges and refs each unpacked by one
+        little-endian ``u32`` array read.
+        """
+        if not self.verify_payload():
+            raise ArchiveError("payload checksum mismatch (bit flip or torn write)")
+        header, data = self._header, self._map[:]
+        timelines: dict[str, tuple[TimelineEntry, ...]] = {}
+        shared: list[Posting | None] = [None] * header.n_timelines
+        for provider, offset, count in _decode_providers(data, header):
+            timeline = tuple(
+                _decode_timeline(data, header, offset + k) for k in range(count)
+            )
+            timelines[provider] = timeline
+            for k, entry in enumerate(timeline):
+                shared[offset + k] = Posting(
+                    provider=provider, version=entry.version, taken_at=entry.taken_at
+                )
+        ranges = struct.unpack_from(f"<{2 * header.n_fingerprints}I", data, header.ranges_at)
+        refs = struct.unpack_from(f"<{header.n_postings}I", data, header.postings_at)
+        fingerprints = data[header.fingerprints_at : header.ranges_at].hex()
+        width = 2 * _FP_WIDTH
+        postings = {
+            fingerprints[k * width : (k + 1) * width]: tuple(
+                shared[ref] for ref in refs[ranges[2 * k] : ranges[2 * k] + ranges[2 * k + 1]]
+            )
+            for k in range(header.n_fingerprints)
+        }
+        return ArchiveIndex(catalog_hash=self.catalog_hash, postings=postings, timelines=timelines)
 
 
 def read_binary_index(archive: Archive, catalog_hash: str) -> BinaryIndex | None:
@@ -468,29 +506,41 @@ def read_binary_index(archive: Archive, catalog_hash: str) -> BinaryIndex | None
     return index
 
 
+def read_verified_index(archive: Archive, catalog_hash: str) -> ArchiveIndex | None:
+    """``trust.bin`` for ``catalog_hash``, decoded whole and checksum-verified.
+
+    ``None`` means "rebuild from manifests": the file is missing, its
+    header is torn or foreign, it was built for another catalog, or its
+    payload fails the SHA-256 check.  This is the read writers patch
+    (the commit-time delta base) and ``load_index``'s fresh path.
+    """
+    binary = read_binary_index(archive, catalog_hash)
+    if binary is None:
+        return None
+    try:
+        return binary.to_archive_index()
+    except ArchiveError:
+        return None
+    finally:
+        binary.close()
+
+
 def load_binary_index(archive: Archive) -> BinaryIndex:
     """The query loader: fresh binary index, (re)built on demand.
 
-    The drop-in ``index_loader`` for
-    :class:`~repro.archive.query.ArchiveQuery`.  When ``trust.bin`` is
-    missing or stale the JSON path is consulted (rebuilding *it* from
-    manifests if needed), the binary file re-persisted, and the mmap
-    opened — so the cost is paid once per catalog version no matter
-    how many workers follow.
+    What :class:`~repro.archive.query.ArchiveQuery` opens.  When
+    ``trust.bin`` is missing or stale the index is rebuilt from the
+    manifests and persisted before the mmap is opened, so the cost is
+    paid once per catalog version no matter how many workers follow.
     """
     catalog_hash = archive.catalog_hash()
     if catalog_hash is None:
         raise ArchiveError(f"archive {archive.root} has no catalog (nothing ingested?)")
     binary = read_binary_index(archive, catalog_hash)
-    if binary is not None:
-        return binary
-    index = load_index(archive)  # fresh JSON or a full rebuild (which persists)
-    binary = read_binary_index(archive, catalog_hash)
-    if binary is not None:
-        return binary  # the rebuild already installed trust.bin
-    persist_binary_index(archive, index)
-    binary = read_binary_index(archive, catalog_hash)
-    if binary is None:  # pragma: no cover - persist just wrote it
+    if binary is None:
+        load_index(archive, rebuild=True)
+        binary = read_binary_index(archive, catalog_hash)
+    if binary is None:  # pragma: no cover - the rebuild just persisted it
         raise ArchiveError(f"binary index unreadable after rebuild at {binary_index_path(archive)}")
     return binary
 
@@ -499,10 +549,10 @@ def check_binary_index(archive: Archive) -> tuple[str, str] | None:
     """A ``(file, detail)`` damage finding for ``trust.bin``, or None.
 
     Stale-but-valid (catalog hash mismatch) is *not* damage — queries
-    rebuild lazily, exactly like the JSON pair.  Damage is a torn or
-    foreign header, a length that disagrees with the header, or a
-    payload whose checksum no longer matches: the signatures of a
-    crashed or bit-flipped write landing under the final name.
+    rebuild lazily.  Damage is a torn or foreign header, a length that
+    disagrees with the header, or a payload whose checksum no longer
+    matches: the signatures of a crashed or bit-flipped write landing
+    under the final name.
     """
     path = binary_index_path(archive)
     if not path.exists():

@@ -1,30 +1,26 @@
-"""Persisted inverted indexes over the archive catalog.
+"""The inverted index over the archive catalog.
 
-Two indexes turn the high-value queries from catalog scans into direct
+Two maps turn the high-value queries from catalog scans into direct
 lookups:
 
-- **fingerprint postings** (``index/fingerprints.json``): certificate
-  fingerprint → sorted ``(provider, version, taken_at)`` postings — one
-  per snapshot that contains the root.  Answers "who ever shipped X,
-  and in which releases?" without opening a single manifest.
-- **provider timelines** (``index/timelines.json``): provider → the
-  date-ordered ``(taken_at, version, manifest_id)`` release timeline.
-  Point-in-time resolution ("the snapshot in force on date D") is a
-  ``bisect`` over this list.
+- **fingerprint postings**: certificate fingerprint → sorted
+  ``(provider, version, taken_at)`` postings — one per snapshot that
+  contains the root.  Answers "who ever shipped X, and in which
+  releases?" without opening a single manifest.
+- **provider timelines**: provider → the date-ordered ``(taken_at,
+  version, manifest_id)`` release timeline.  Point-in-time resolution
+  ("the snapshot in force on date D") is a ``bisect`` over this list.
 
-Both files carry the catalog hash they were built from.  Loading
-compares it against the live catalog and silently rebuilds (and
-re-persists) when stale, so indexes never need manual invalidation:
-ingest rewrites the catalog, and the next query rebuilds exactly once.
-
-Payloads are compact canonical JSON (sorted keys, no whitespace):
-byte-determinism is load-bearing — the kill-matrix tests require a
-delta-maintained index to be byte-identical to a rebuilt one — and the
-pretty-printed form only made the files bigger and the legacy parse
-path slower.  ``persist_index`` additionally installs the mmap-able
-binary form (:mod:`repro.archive.binindex`) so the two formats can
-never drift: every writer path (full rebuild, incremental delta,
-repair) lands all three files under the same ``index`` crash site.
+The index is persisted in exactly one format, ``index/trust.bin``
+(:mod:`repro.archive.binindex`), which carries the catalog hash it was
+built from.  Loading compares it against the live catalog and silently
+rebuilds (and re-persists) when stale, so the index never needs manual
+invalidation: ingest rewrites the catalog, and the next query rebuilds
+exactly once.  The encoding is deterministic — the kill-matrix tests
+require a delta-maintained index to be byte-identical to a rebuilt
+one.  The human-auditable view is rendered on demand
+(:func:`render_index_json`, ``repro-roots archive index-dump``), never
+stored.
 """
 
 from __future__ import annotations
@@ -33,18 +29,13 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 from typing import Iterable
 
-from repro.archive.io import atomic_write_bytes
 from repro.archive.manifest import Archive
 from repro.errors import ArchiveError
 
-#: Directory name of the index files inside an archive root.
+#: Directory name of the index file inside an archive root.
 INDEX_DIR = "index"
-FINGERPRINTS_FILE = "fingerprints.json"
-TIMELINES_FILE = "timelines.json"
-INDEX_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -203,101 +194,57 @@ def apply_index_delta(
     )
 
 
-def _index_dir(archive: Archive) -> Path:
-    return archive.root / INDEX_DIR
+def render_index_json(index: ArchiveIndex) -> str:
+    """The index as one canonical compact JSON document.
+
+    Sorted keys and no whitespace, so the same index always renders to
+    the same bytes: postings as ``[provider, version, taken_at]`` rows,
+    timelines as ``[taken_at, version, manifest_id, entries]`` rows.
+    """
+    document = {
+        "catalog_hash": index.catalog_hash,
+        "postings": {
+            fp: [[p.provider, p.version, p.taken_at.isoformat()] for p in ps]
+            for fp, ps in index.postings.items()
+        },
+        "timelines": {
+            provider: [
+                [t.taken_at.isoformat(), t.version, t.manifest_id, t.entries]
+                for t in timeline
+            ]
+            for provider, timeline in index.timelines.items()
+        },
+    }
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 def persist_index(archive: Archive, index: ArchiveIndex) -> None:
-    """Write every index file atomically (same pattern as the catalog).
+    """Install ``index/trust.bin`` atomically, under the ``index`` crash site.
 
-    Three files land, all under the ``index`` crash site: the two
-    compact-JSON payloads and the binary ``trust.bin`` the serving
-    layer mmaps.  A crash between any two of them leaves a stale or
-    missing sibling that ``repair`` (and lazy query loads) rebuild.
+    The single writer of the persisted index: full rebuilds, commit-time
+    deltas and repair all land through here.
     """
-    directory = _index_dir(archive)
-    directory.mkdir(parents=True, exist_ok=True)
-    files = {
-        FINGERPRINTS_FILE: {
-            "schema": INDEX_SCHEMA,
-            "catalog_hash": index.catalog_hash,
-            "postings": {
-                fp: [[p.provider, p.version, p.taken_at.isoformat()] for p in ps]
-                for fp, ps in sorted(index.postings.items())
-            },
-        },
-        TIMELINES_FILE: {
-            "schema": INDEX_SCHEMA,
-            "catalog_hash": index.catalog_hash,
-            "timelines": {
-                provider: [
-                    [t.taken_at.isoformat(), t.version, t.manifest_id, t.entries]
-                    for t in timeline
-                ]
-                for provider, timeline in sorted(index.timelines.items())
-            },
-        },
-    }
-    for name, payload in files.items():
-        data = (
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("ascii")
-        atomic_write_bytes(directory / name, data, site="index")
-
     from repro.archive.binindex import persist_binary_index  # circular at module scope
 
     persist_binary_index(archive, index)
 
 
-def _load_persisted(archive: Archive, catalog_hash: str) -> ArchiveIndex | None:
-    """The persisted index, or None when missing/stale/unreadable."""
-    directory = _index_dir(archive)
-    try:
-        fp_payload = json.loads((directory / FINGERPRINTS_FILE).read_text())
-        tl_payload = json.loads((directory / TIMELINES_FILE).read_text())
-    except (FileNotFoundError, ValueError):
-        return None
-    if (
-        fp_payload.get("catalog_hash") != catalog_hash
-        or tl_payload.get("catalog_hash") != catalog_hash
-    ):
-        return None  # stale: catalog changed since this index was built
-    try:
-        postings = {
-            fp: tuple(
-                Posting(provider=p, version=v, taken_at=date.fromisoformat(d))
-                for p, v, d in ps
-            )
-            for fp, ps in fp_payload["postings"].items()
-        }
-        timelines = {
-            provider: tuple(
-                TimelineEntry(
-                    taken_at=date.fromisoformat(d),
-                    version=v,
-                    manifest_id=m,
-                    entries=n,
-                )
-                for d, v, m, n in timeline
-            )
-            for provider, timeline in tl_payload["timelines"].items()
-        }
-    except (KeyError, TypeError, ValueError):
-        return None  # malformed on disk: treat as absent and rebuild
-    return ArchiveIndex(catalog_hash=catalog_hash, postings=postings, timelines=timelines)
-
-
 def load_index(archive: Archive, *, rebuild: bool = False) -> ArchiveIndex:
-    """The archive's index: persisted when fresh, rebuilt when stale.
+    """The archive's index: ``trust.bin`` when fresh, rebuilt otherwise.
 
-    A rebuild is persisted before returning, so the cost is paid once
-    per catalog version no matter how many query sessions follow.
+    The fresh path decodes the whole file after verifying its checksum;
+    a missing, stale or damaged file (or ``rebuild=True``) falls back
+    to a manifest scan.  A rebuild is persisted before returning, so
+    the cost is paid once per catalog version no matter how many query
+    sessions follow.
     """
+    from repro.archive.binindex import read_verified_index  # circular at module scope
+
     catalog_hash = archive.catalog_hash()
     if catalog_hash is None:
         raise ArchiveError(f"archive {archive.root} has no catalog (nothing ingested?)")
     if not rebuild:
-        persisted = _load_persisted(archive, catalog_hash)
+        persisted = read_verified_index(archive, catalog_hash)
         if persisted is not None:
             return persisted
     index = build_index(archive)

@@ -35,7 +35,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.archive.index import _load_persisted, apply_index_delta, load_index, persist_index
+from repro.archive.binindex import read_verified_index
+from repro.archive.index import apply_index_delta, load_index, persist_index
 from repro.archive.journal import IngestJournal, pending_transactions
 from repro.archive.lock import WriterLock
 from repro.archive.manifest import Archive, CatalogRow, SnapshotManifest, serialize_catalog
@@ -232,17 +233,18 @@ class ArchiveWriter:
         The cheap path patches the index that matched this session's
         *starting* catalog with the session's recorded deltas; anything
         that breaks the delta invariant (no persisted index, it was
-        stale already, or a superseded manifest was unreadable) falls
-        back to the full rebuild.  Runs after the catalog replace and
-        before the journal retires, so a crash mid-update leaves a
-        pending journal for ``archive repair`` to finish the job.
+        stale already or fails its checksum, or a superseded manifest
+        was unreadable) falls back to the full rebuild.  Runs after the
+        catalog replace and before the journal retires, so a crash
+        mid-update leaves a pending journal for ``archive repair`` to
+        finish the job.
         """
         new_hash = self.archive.catalog_hash()
         if new_hash is None:  # pragma: no cover - write_catalog just ran
             return
         base = None
         if not self._index_rebuild_needed and self._base_hash is not None:
-            base = _load_persisted(self.archive, self._base_hash)
+            base = read_verified_index(self.archive, self._base_hash)
         if base is not None:
             updated = apply_index_delta(base, self._index_changes, new_hash)
             persist_index(self.archive, updated)

@@ -7,9 +7,9 @@ without ever re-synthesizing or re-scraping the corpus.
 
 Two layers keep repeated queries off the filesystem entirely:
 
-- the persisted binary index (:mod:`repro.archive.binindex`, opened
-  by header only) resolves *which* manifest a query needs without
-  scanning the catalog or parsing the JSON postings, and
+- the persisted index ``trust.bin`` (:mod:`repro.archive.binindex`,
+  opened by header only and decoded one record at a time) resolves
+  *which* manifest a query needs without scanning the catalog, and
 - two LRU caches hold decoded manifests and fully reconstructed
   snapshots, so the second query touching the same release costs a
   dictionary hit, not JSON parsing or DER decoding.
@@ -46,12 +46,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from repro.archive.binindex import load_binary_index
-from repro.archive.index import ArchiveIndex, Posting, TimelineEntry
+from repro.archive.binindex import BinaryIndex, load_binary_index
+from repro.archive.index import Posting, TimelineEntry
 from repro.archive.manifest import Archive, SnapshotManifest
 from repro.archive.repair import QuarantinedSnapshot, read_quarantine
 from repro.errors import ArchiveCorruptionError, ArchiveError, ArchiveStaleError
@@ -184,19 +184,12 @@ class ArchiveQuery:
         snapshot_cache: int = SNAPSHOT_CACHE_SIZE,
         allow_degraded: bool = False,
         refresh_on_stale: bool = False,
-        index_loader: Callable[[Archive], ArchiveIndex] | None = None,
     ):
         self.archive = archive if isinstance(archive, Archive) else Archive(archive)
-        #: How this engine materializes its index — the default opens
-        #: ``index/trust.bin`` by header only
-        #: (:func:`~repro.archive.binindex.load_binary_index`, rebuilt
-        #: when missing or stale); pass
-        #: :func:`repro.archive.index.load_index` to parse the JSON pair
-        #: instead.  Loaders must return an object with the
-        #: ``ArchiveIndex`` query surface and ``catalog_hash``.
-        self._index_loader = index_loader if index_loader is not None else load_binary_index
         with get_telemetry().span("archive.query.load_index", archive=str(self.archive.root)):
-            self.index: ArchiveIndex = self._index_loader(self.archive)
+            #: ``index/trust.bin``, opened by header only (rebuilt when
+            #: missing or stale).
+            self.index: BinaryIndex = load_binary_index(self.archive)
         self._manifests = _LRUCache(manifest_cache)
         self._snapshots = _LRUCache(snapshot_cache)
         self.allow_degraded = allow_degraded
@@ -252,7 +245,7 @@ class ArchiveQuery:
             )
         count("repro_archive_stale_detected_total", action="refresh")
         with get_telemetry().span("archive.query.refresh", archive=str(self.archive.root)):
-            self.index = self._index_loader(self.archive)
+            self.index = load_binary_index(self.archive)
         self._manifests.clear()
         self._snapshots.clear()
         self.catalog_hash = self.index.catalog_hash

@@ -27,7 +27,7 @@ bitrot) can leave behind, in dependency order:
    merely disagree with an intact manifest are *healed* from the
    manifest (the content-addressed truth).
 5. **Catalog + index** — the healed catalog is atomically rewritten
-   and the inverted indexes rebuilt, so ``verify`` reports a clean
+   and the inverted index rebuilt, so ``verify`` reports a clean
    archive and queries serve immediately.
 
 Quarantined snapshots are recorded in ``quarantine/quarantined.json``
@@ -44,7 +44,7 @@ from pathlib import Path
 
 from repro.archive.cas import OBJECT_SUFFIX
 from repro.archive.checkpoint import WATCH_DIR, CheckpointStore
-from repro.archive.index import INDEX_DIR, _load_persisted, load_index
+from repro.archive.index import INDEX_DIR, load_index
 from repro.archive.io import atomic_write_bytes, remove_all, stray_tmp_files
 from repro.archive.journal import JournalState, pending_transactions
 from repro.archive.lock import WriterLock, break_lock, read_lock
@@ -400,18 +400,15 @@ def repair_archive(archive: Archive, *, force_unlock: bool = False) -> RepairRep
 
 
 def _heal_index(archive: Archive, report: RepairReport) -> None:
-    """Rebuild index files a crashed incremental update left behind.
+    """Rebuild an index file a crashed incremental update left behind.
 
     ``ArchiveWriter.commit`` patches the persisted index *after* the
     catalog replace, so a kill in that window (or a torn/flipped write
-    landing on any index file) leaves index files that do not match the
-    committed catalog.  Absent index files are fine — queries build
-    lazily — but *present-and-wrong* ones are crash damage: rebuild so
-    the archive converges to the same bytes as an uninterrupted run.
-
-    The binary ``trust.bin`` is held to the same bar as the JSON pair:
-    stale (older catalog hash) or missing alongside fresh JSON means a
-    crash landed between the sibling writes, and a torn header or
+    landing on ``trust.bin``) leaves an index that does not match the
+    committed catalog.  An absent index is fine — queries build lazily
+    — but a *present-and-wrong* one is crash damage: rebuild so the
+    archive converges to the same bytes as an uninterrupted run.
+    Stale (older catalog hash) is rebuilt in place; a torn header or
     payload-checksum mismatch is damage whose bytes are parked under
     ``quarantine/index/`` before the rebuild replaces the file.
     """
@@ -423,23 +420,16 @@ def _heal_index(archive: Archive, report: RepairReport) -> None:
     )
 
     catalog_hash = archive.catalog_hash()
-    if catalog_hash is None:
+    source = binary_index_path(archive)
+    if catalog_hash is None or not source.exists():
         return
-    directory = archive.root / INDEX_DIR
-    if not any(directory.glob("*.json")) and not any(directory.glob("*.bin")):
-        return
-    json_fresh = _load_persisted(archive, catalog_hash) is not None
     damage = check_binary_index(archive)
-    binary_fresh = False
     if damage is None:
         binary = read_binary_index(archive, catalog_hash)
         if binary is not None:
-            binary_fresh = True
             binary.close()
-    if json_fresh and binary_fresh:
-        return
-    if damage is not None:
-        source = binary_index_path(archive)
+            return
+    else:
         destination = quarantine_root(archive.root) / INDEX_DIR / f"{BINARY_FILE}.corrupt"
         destination.parent.mkdir(parents=True, exist_ok=True)
         source.replace(destination)

@@ -12,7 +12,10 @@ whose target is missing.  ``archive gc`` deletes exactly the orphans
 Both passes also sweep for stale ``*.tmp`` files — the debris a writer
 killed between its temp write and its ``os.replace`` leaves behind.
 ``verify`` counts and names them (they never make an archive CORRUPT:
-the final name was untouched); ``gc`` deletes them.
+the final name was untouched); ``gc`` deletes them.  ``gc`` also
+deletes the JSON index files (:data:`LEGACY_INDEX_FILES`) that archives
+written before ``trust.bin`` became the only persisted index still
+carry.
 """
 
 from __future__ import annotations
@@ -20,9 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.archive.index import INDEX_DIR
 from repro.archive.io import remove_all, stray_tmp_files
 from repro.archive.manifest import Archive
 from repro.errors import ArchiveCorruptionError, ArchiveError
+
+#: Index files older archives persisted beside ``trust.bin``; nothing reads them.
+LEGACY_INDEX_FILES = ("fingerprints.json", "timelines.json")
 
 
 @dataclass
@@ -173,27 +180,38 @@ class GCResult:
     manifests_removed: int
     dry_run: bool
     tmp_removed: int = 0
+    legacy_index_removed: tuple = ()  # archive-relative paths
 
     def summary(self) -> str:
         verb = "would remove" if self.dry_run else "removed"
-        return (
+        lines = [
             f"{verb} {self.objects_removed} objects, {self.manifests_removed} manifests, "
-            f"{self.tmp_removed} stale temp files"
-        )
+            f"{self.tmp_removed} stale temp files, "
+            f"{len(self.legacy_index_removed)} legacy index files"
+        ]
+        lines += [f"  {verb} legacy index file {path}" for path in self.legacy_index_removed]
+        return "\n".join(lines)
 
 
 def gc_archive(archive: Archive, *, dry_run: bool = False) -> GCResult:
-    """Delete orphan objects, manifests, and stale temp files."""
+    """Delete orphan objects, manifests, stale temp files and legacy index files."""
     report = verify_archive(archive)
+    legacy = [
+        path
+        for path in (archive.root / INDEX_DIR / name for name in LEGACY_INDEX_FILES)
+        if path.exists()
+    ]
     if not dry_run:
         for fingerprint in report.orphan_objects:
             archive.objects.remove(fingerprint)
         for provider, manifest_id in report.orphan_manifests:
             archive.manifest_path(provider, manifest_id).unlink(missing_ok=True)
         remove_all(Path(path) for path in report.stale_tmp)
+        remove_all(legacy)
     return GCResult(
         objects_removed=len(report.orphan_objects),
         manifests_removed=len(report.orphan_manifests),
         dry_run=dry_run,
         tmp_removed=len(report.stale_tmp),
+        legacy_index_removed=tuple(f"{INDEX_DIR}/{path.name}" for path in legacy),
     )

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.archive import Archive, verify_archive
-from repro.archive.index import INDEX_DIR, _load_persisted
+from repro.archive.binindex import read_verified_index
+from repro.archive.index import INDEX_DIR
 from repro.bench.archive import _smoke_dataset
 from repro.bench.perf import _timed, is_smoke_mode
 from repro.collection.faults import SimulatedClock
@@ -66,15 +67,13 @@ class IngestSuite:
 
 
 def _index_bytes(archive: Archive) -> bytes:
-    """Every persisted index payload (JSON + binary), or ``b''``.
+    """Every file under ``index/``, concatenated in name order, or ``b''``.
 
-    The byte-identity gate covers the binary ``trust.bin`` too: a
-    delta-maintained archive must land on exactly the bytes a rebuild
-    produces in *both* formats.
+    A delta-maintained archive must land on exactly the bytes a rebuild
+    produces.
     """
     directory = archive.root / INDEX_DIR
-    files = sorted([*directory.glob("*.json"), *directory.glob("*.bin")])
-    return b"".join(path.read_bytes() for path in files)
+    return b"".join(path.read_bytes() for path in sorted(directory.glob("*")))
 
 
 def _full_cycle(root: Path, dataset: Dataset, *, index: int):
@@ -140,7 +139,7 @@ def run_ingest_suite(
         correctness = {
             "catalog_match": delta_archive.catalog_hash() == full_archive.catalog_hash(),
             "index_identical": _index_bytes(delta_archive) == _index_bytes(full_archive),
-            "index_fresh": _load_persisted(delta_archive, delta_archive.catalog_hash())
+            "index_fresh": read_verified_index(delta_archive, delta_archive.catalog_hash())
             is not None,
             "verify_ok": verify_archive(delta_archive).ok,
             "delta_is_one_tag_per_origin": delta_cycle_result.snapshots_ingested

@@ -57,7 +57,6 @@ from repro.archive import (
     set_fsync,
     verify_archive,
 )
-from repro.archive.index import load_index
 from repro.bench.archive import _smoke_dataset
 from repro.bench.perf import _timed, is_smoke_mode
 from repro.obs.instrument import set_gauge
@@ -561,7 +560,6 @@ def _bench_fleet(root: Path, dataset: Dataset, *, smoke: bool) -> dict:
     # The serving fleet runs on the matrix sub-corpus: fleet gates are
     # about process lifecycles, not query throughput.
     ingest_dataset(archive, dataset)
-    load_index(archive)  # persist both index formats (workers mmap trust.bin)
     kill_storm = _bench_kill_storm(serving_root, smoke=smoke)
     drain = _bench_drain(serving_root, smoke=smoke)
     shed = _bench_shed(serving_root, smoke=smoke)

@@ -22,9 +22,9 @@ Subcommands map one-to-one onto the paper's experiments::
     repro-roots bench-scale          # population-scale harness (BENCH_scale.json):
                                      #   synthetic corpus, blocked distances,
                                      #   landmark MDS
-    repro-roots archive ...          # on-disk archive: ingest|query|diff|verify|gc|
-                                     #   repair|bench|bench-ingest|bench-robustness|
-                                     #   bench-serving
+    repro-roots archive ...          # on-disk archive: ingest|query|diff|index-dump|
+                                     #   verify|gc|repair|bench|bench-ingest|
+                                     #   bench-robustness|bench-serving
     repro-roots scenario ...         # what-if engine: run|diff|report|bench over an
                                      #   archive (distrust/remove/revoke edits ->
                                      #   population impact)
@@ -378,8 +378,8 @@ def _add_metrics_out_flags(parser: argparse.ArgumentParser) -> None:
 def _add_archive_parser(sub) -> None:
     archive = sub.add_parser(
         "archive",
-        help="content-addressed on-disk archive: ingest, query, diff, verify, gc, "
-        "repair, bench, bench-robustness, bench-serving",
+        help="content-addressed on-disk archive: ingest, query, diff, index-dump, "
+        "verify, gc, repair, bench, bench-robustness, bench-serving",
     )
     asub = archive.add_subparsers(dest="archive_command", required=True)
 
@@ -427,12 +427,19 @@ def _add_archive_parser(sub) -> None:
         help="compare the snapshots in force at this date (default: latest)",
     )
 
+    index_dump = asub.add_parser(
+        "index-dump", help="print the trust index as one canonical compact JSON document"
+    )
+    index_dump.add_argument("directory", type=Path, metavar="DIR")
+
     verify = asub.add_parser(
         "verify", help="integrity pass: re-hash objects, cross-check catalog, list orphans"
     )
     verify.add_argument("directory", type=Path, metavar="DIR")
 
-    gc = asub.add_parser("gc", help="delete orphan objects, manifests, and stale temp files")
+    gc = asub.add_parser(
+        "gc", help="delete orphan objects, manifests, stale temp files and legacy index files"
+    )
     gc.add_argument("directory", type=Path, metavar="DIR")
     gc.add_argument("--dry-run", action="store_true", help="report only, delete nothing")
 
@@ -1243,6 +1250,13 @@ def _cmd_archive_diff(args) -> None:
         print(f"\n{label} ({len(fingerprints)}):")
         for fp in sorted(fingerprints):
             print(f"  {fp[:16]}")
+
+
+def _cmd_archive_index_dump(args) -> None:
+    from repro.archive import Archive, load_index
+    from repro.archive.index import render_index_json
+
+    print(render_index_json(load_index(Archive(args.directory))))
 
 
 def _cmd_archive_verify(args) -> int:

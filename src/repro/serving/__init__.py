@@ -3,9 +3,9 @@
 The archive (:mod:`repro.archive`) already answers point-in-time trust
 queries in-process; this package makes those answers *servable*:
 
-- :mod:`repro.archive.binindex` (re-exported by the archive) packs the
-  persisted index into one mmap-able binary file, so a worker's cold
-  start is a header read — not a JSON parse — and N workers share
+- :mod:`repro.archive.binindex` (re-exported by the archive) is the
+  persisted index, one mmap-able binary file, so a worker's cold
+  start is a header read — not a full decode — and N workers share
   index pages.
 - :mod:`repro.serving.service` — the transport-free batch engine:
   ``trusted_on`` (batched through

@@ -5,7 +5,7 @@ socket, pre-forks N workers, and each worker serves HTTP/1.1 over the
 *shared* socket — the kernel load-balances ``accept`` across workers.
 Every worker holds a :class:`~repro.serving.service.QueryService` over
 the mmap-able binary index, so N workers share the index *pages*
-(one ``trust.bin`` mapped N times) instead of N parsed JSON copies,
+(one ``trust.bin`` mapped N times) instead of N decoded copies,
 and cold start per worker is O(header read).
 
 Endpoints (JSON in, JSON out):

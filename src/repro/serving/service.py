@@ -1,10 +1,10 @@
 """The query service behind the daemon: one batch request → one answer.
 
 :class:`QueryService` is the transport-free core of the serving layer.
-It owns a single :class:`~repro.archive.query.ArchiveQuery` constructed
-over the mmap-able binary index (``index_loader=load_binary_index``)
-with ``refresh_on_stale=True``, so a watch-loop commit under a live
-worker triggers an index *remap* on the next request — counted in
+It owns a single :class:`~repro.archive.query.ArchiveQuery`, which maps
+the archive's ``index/trust.bin`` by header only, constructed with
+``refresh_on_stale=True``, so a watch-loop commit under a live worker
+triggers an index *remap* on the next request — counted in
 ``repro_serving_remaps_total`` — never a restart.
 
 The wire vocabulary is a batch of JSON request objects, each with an
@@ -37,7 +37,6 @@ import threading
 from datetime import date
 from pathlib import Path
 
-from repro.archive.binindex import load_binary_index
 from repro.archive.manifest import Archive
 from repro.archive.query import ArchiveQuery, TrustObservation
 from repro.errors import ArchiveError, StoreError
@@ -100,9 +99,7 @@ class QueryService:
         *,
         batch_limit: int = DEFAULT_BATCH_LIMIT,
     ):
-        self.query = ArchiveQuery(
-            root, refresh_on_stale=True, index_loader=load_binary_index
-        )
+        self.query = ArchiveQuery(root, refresh_on_stale=True)
         self.batch_limit = batch_limit
         self._lock = threading.Lock()
         #: How often a request found the catalog changed and remapped.

@@ -65,6 +65,20 @@ def make_cert(key, cn="Unit Test Root", *, serial=1, ca=True, digest="sha256",
     return builder.self_sign(key, digest)
 
 
+def scan_engine(root):
+    """An ``ArchiveQuery`` answering from :func:`build_index` — the oracle.
+
+    ``build_index`` scans the catalog and manifests, so the oracle
+    depends on no persisted index format; everything else (manifest
+    reads, caches, observation building) is the engine under test.
+    """
+    from repro.archive import Archive, ArchiveQuery, build_index
+
+    engine = ArchiveQuery(root)
+    engine.index = build_index(Archive(root))
+    return engine
+
+
 @pytest.fixture(scope="session")
 def sample_cert(rsa_key):
     return make_cert(rsa_key)

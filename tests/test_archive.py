@@ -20,17 +20,27 @@ from repro.archive import (
     ArchiveQuery,
     ContentStore,
     SnapshotManifest,
+    build_index,
     gc_archive,
     ingest_dataset,
     ingest_history,
+    ingest_snapshots,
     load_index,
     verify_archive,
 )
-from repro.archive.binindex import BinaryIndex, binary_index_path, persist_binary_index
+from repro.archive.binindex import (
+    HEADER_SIZE,
+    BinaryIndex,
+    binary_index_path,
+    persist_binary_index,
+)
 from repro.archive.index import ArchiveIndex, TimelineEntry
 from repro.archive.query import _LRUCache
+from repro.bench.archive import _smoke_dataset
 from repro.errors import ArchiveCorruptionError, ArchiveError, ArchiveStaleError
+from repro.obs import telemetry_session
 from repro.store.purposes import TrustLevel, TrustPurpose
+from tests.conftest import scan_engine
 
 
 @pytest.fixture(scope="session")
@@ -391,9 +401,9 @@ class TestIndex:
     def test_index_is_persisted_and_reloaded(self, archive_dir):
         archive = Archive(archive_dir)
         index_dir = archive.root / "index"
-        assert (index_dir / "fingerprints.json").exists()
-        assert (index_dir / "timelines.json").exists()
+        assert sorted(path.name for path in index_dir.iterdir()) == ["trust.bin"]
         loaded = load_index(archive)
+        assert loaded == build_index(archive)
         assert loaded.catalog_hash == archive.catalog_hash()
         assert loaded.providers == sorted(loaded.timelines)
 
@@ -406,9 +416,34 @@ class TestIndex:
         rebuilt = load_index(archive)
         assert rebuilt.catalog_hash != stale.catalog_hash
         assert "alpine" not in rebuilt.timelines
+        # The rebuild was persisted: trust.bin now carries the new hash.
+        assert BinaryIndex(binary_index_path(archive)).catalog_hash == rebuilt.catalog_hash
         ingest_dataset(archive, dataset)
         full = load_index(archive)
         assert "alpine" in full.timelines
+        assert full == build_index(archive)
+
+    def test_corrupt_trust_bin_is_rebuilt_never_patched(self, dataset, tmp_path):
+        """A commit whose delta base fails its checksum rebuilds from manifests."""
+        small = _smoke_dataset(dataset)
+        snapshots = [snapshot for p in small.providers for snapshot in small[p]]
+        archive = Archive(tmp_path / "flipped", create=True)
+        ingest_snapshots(archive, snapshots[:-1])
+        path = binary_index_path(archive)
+        data = bytearray(path.read_bytes())
+        data[HEADER_SIZE + (len(data) - HEADER_SIZE) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        with telemetry_session() as telemetry:
+            ingest_snapshots(archive, snapshots[-1:])
+            families = {family["name"]: family for family in telemetry.registry.to_dict()}
+        assert families["repro_archive_index_updates_total"]["series"] == [
+            {"labels": {"mode": "rebuild"}, "value": 1}
+        ]
+        oneshot = Archive(tmp_path / "oneshot", create=True)
+        ingest_snapshots(oneshot, snapshots)
+        assert path.read_bytes() == binary_index_path(oneshot).read_bytes()
+        assert verify_archive(archive).ok
 
     def test_in_force_before_first_release_is_none(self, query):
         assert query.index.in_force("nss", date(1999, 1, 1)) is None
@@ -461,25 +496,23 @@ def _query_answers(engine: ArchiveQuery, fingerprints, dates) -> dict:
 
 
 class TestDefaultLoader:
-    """``ArchiveQuery`` opens ``trust.bin`` and answers as the JSON index does."""
+    """``ArchiveQuery`` opens ``trust.bin`` and answers as a manifest scan does."""
 
     DATES = (date(2012, 3, 1), date(2018, 6, 1), date(2021, 1, 1))
 
     @pytest.fixture(scope="class")
     def probes(self, archive_dir):
-        fingerprints = sorted(load_index(Archive(archive_dir)).postings)[::40]
+        fingerprints = sorted(build_index(Archive(archive_dir)).postings)[::40]
         return fingerprints + ["00" * 32]  # plus one the archive never saw
 
     @pytest.fixture(scope="class")
     def reference(self, archive_dir, probes):
-        engine = ArchiveQuery(archive_dir, index_loader=load_index)
-        assert isinstance(engine.index, ArchiveIndex)
-        return _query_answers(engine, probes, self.DATES)
+        return _query_answers(scan_engine(archive_dir), probes, self.DATES)
 
     def test_default_opens_binary_index(self, archive_dir):
         assert isinstance(ArchiveQuery(archive_dir).index, BinaryIndex)
 
-    def test_answers_identical_to_json_loader(self, archive_dir, probes, reference):
+    def test_answers_identical_to_manifest_scan(self, archive_dir, probes, reference):
         answers = _query_answers(ArchiveQuery(archive_dir), probes, self.DATES)
         for key, expected in reference.items():
             assert answers[key] == expected, key
@@ -494,7 +527,7 @@ class TestDefaultLoader:
 
     def test_stale_trust_bin_is_rebuilt(self, archive_dir, probes, reference, tmp_path):
         archive = _copy_archive(archive_dir, tmp_path)
-        index = load_index(archive)
+        index = build_index(archive)
         stale = ArchiveIndex(
             catalog_hash="0" * 64, postings=index.postings, timelines=index.timelines
         )

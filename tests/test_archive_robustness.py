@@ -54,6 +54,7 @@ from repro.archive import (
     stray_tmp_files,
     verify_archive,
 )
+from repro.archive.binindex import binary_index_path, read_verified_index
 from repro.archive.chaos import STYLES, ChaosPlan, SimulatedCrash
 from repro.archive.io import atomic_write_bytes, unique_tmp
 from repro.archive.lock import LOCK_FILE
@@ -418,22 +419,19 @@ class TestRepairHealsWatchState:
     def test_stale_index_is_rebuilt(self, tmp_path, tiny_dataset):
         """An index left behind by an older catalog is torn state: repair
         must rebuild it to match the current catalog hash."""
-        from repro.archive.index import _load_persisted
-
         archive = Archive(tmp_path / "arch", create=True)
+        path = binary_index_path(archive)
+        ingest_dataset(archive, tiny_dataset, providers=["alpha"])
+        older = path.read_bytes()  # trust.bin encoded for the older catalog
         ingest_dataset(archive, tiny_dataset)
-        ArchiveQuery(archive)  # persist a fresh index
-        index_files = list((archive.root / "index").glob("*.json"))
-        assert index_files
-        for path in index_files:
-            payload = json.loads(path.read_text())
-            payload["catalog_hash"] = "0" * 64  # now stale
-            path.write_text(json.dumps(payload))
-        assert _load_persisted(archive, archive.catalog_hash()) is None
+        fresh = path.read_bytes()
+        path.write_bytes(older)
+        assert read_verified_index(archive, archive.catalog_hash()) is None
 
         report = repair_archive(archive)
         assert report.index_healed
-        assert _load_persisted(archive, archive.catalog_hash()) is not None
+        assert path.read_bytes() == fresh
+        assert read_verified_index(archive, archive.catalog_hash()) is not None
         assert repair_archive(archive).clean  # idempotent
 
     def test_damaged_checkpoints_are_quarantined(self, tmp_path, tiny_dataset):
@@ -456,6 +454,46 @@ class TestRepairHealsWatchState:
         assert fresh.load() == {}
         assert fresh.damaged is False
         assert repair_archive(archive).clean
+
+
+class TestLegacyIndexFiles:
+    """Archives written when the index was also persisted as JSON."""
+
+    LEGACY = ("fingerprints.json", "timelines.json")
+
+    def _with_legacy_files(self, tmp_path, tiny_dataset) -> Archive:
+        archive = Archive(tmp_path / "arch", create=True)
+        ingest_dataset(archive, tiny_dataset)
+        for name in self.LEGACY:
+            stale = {"schema": 1, "catalog_hash": "0" * 64}
+            (archive.root / "index" / name).write_text(json.dumps(stale) + "\n")
+        return archive
+
+    def test_gc_removes_and_reports_them(self, tmp_path, tiny_dataset):
+        archive = self._with_legacy_files(tmp_path, tiny_dataset)
+        index_dir = archive.root / "index"
+        assert repair_archive(archive).clean  # nothing reads them
+        assert verify_archive(archive).ok
+
+        dry = gc_archive(archive, dry_run=True)
+        expected = tuple(f"index/{name}" for name in self.LEGACY)
+        assert dry.legacy_index_removed == expected
+        assert "2 legacy index files" in dry.summary()
+        assert all((index_dir / name).exists() for name in self.LEGACY)
+
+        wet = gc_archive(archive)
+        assert wet.legacy_index_removed == expected
+        assert "removed legacy index file index/timelines.json" in wet.summary()
+        assert sorted(path.name for path in index_dir.iterdir()) == ["trust.bin"]
+        assert gc_archive(archive).legacy_index_removed == ()
+
+    def test_repair_looks_only_at_trust_bin(self, tmp_path, tiny_dataset):
+        """Legacy files beside a missing trust.bin are no index damage."""
+        archive = self._with_legacy_files(tmp_path, tiny_dataset)
+        binary_index_path(archive).unlink()
+        report = repair_archive(archive)
+        assert not report.index_healed
+        assert not binary_index_path(archive).exists()
 
 
 class TestBitrotQuarantine:

@@ -2,12 +2,11 @@
 
 ``REPRO_BENCH_SMOKE=1`` trims :func:`repro.bench.run_serving_suite` to
 the two-provider sub-corpus and a short concurrency ladder; the
-full-size run — and the committed floors (≥ 10x binary-index cold
-start, daemon p50 within 5x of warm in-process) — lives in
-``benchmarks/bench_serving.py``.  The correctness gates hold
-unconditionally here: the mmap-backed index must answer element-wise
-identically to the JSON path on every probe, and the ladder must
-report p50/p99 at ≥ 3 concurrency levels.
+full-size run — and the committed floors (≥ 10x header-open cold
+start over the full decode, daemon p50 within 5x of warm in-process) —
+lives in ``benchmarks/bench_serving.py``.  The ladder must report
+p50/p99 at ≥ 3 concurrency levels; query equivalence is gated in
+``tests/test_serving.py``.
 """
 
 from __future__ import annotations
@@ -41,21 +40,13 @@ class TestServingSmoke:
             "snapshots",
             "fingerprints",
             "cold_start",
-            "equivalence",
             "warm",
             "daemon",
         }
 
-        # Correctness gates hold in every mode: the binary index is the
-        # JSON index, observable through every query surface.
-        equivalence = results["equivalence"]
-        assert equivalence["index_identical"] is True
-        assert equivalence["trusted_on_identical"] is True
-        assert equivalence["ever_shipped_identical"] is True
-        assert equivalence["in_force_identical"] is True
-        assert equivalence["ok"] is True
-        assert equivalence["trusted_on_checked"] > 0
-        assert equivalence["ever_shipped_checked"] > 0
+        cold = results["cold_start"]
+        assert set(cold) == {"decode_s", "binary_s", "speedup", "floor"}
+        assert cold["decode_s"] > 0 and cold["binary_s"] > 0
 
         # The acceptance shape: p50/p99 at ≥ 3 concurrency levels.
         levels = results["daemon"]["levels"]

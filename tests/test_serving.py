@@ -7,9 +7,11 @@ Four layers under test, bottom-up:
   (torn header, truncation, payload bit flips) and the
   quarantine-and-rebuild path through ``archive repair``;
 - query equivalence: an :class:`ArchiveQuery` over the mmap-backed
-  index must answer every surface — ``trusted_on``,
-  ``trusted_on_many``, ``ever_shipped``, ``snapshot_at``, ``diff`` —
-  element-wise identically to the JSON-loaded engine, and
+  index must answer every surface — ``trusted_on_many`` on every
+  archived date, ``ever_shipped`` for every fingerprint, in-force
+  resolution for every provider × date, ``snapshot_at``, ``diff`` —
+  element-wise identically to an engine over :func:`build_index` (a
+  manifest scan that depends on no persisted format), and
   ``trusted_on_many`` must equal a ``trusted_on`` loop;
 - concurrent readers vs. the watch loop: a reader holding the mmap'd
   index while a commit lands keeps serving its old snapshot
@@ -32,12 +34,15 @@ import pytest
 
 from repro.archive import (
     Archive,
+    ArchiveIndex,
     ArchiveQuery,
+    Posting,
+    TimelineEntry,
+    build_index,
     check_binary_index,
     encode_binary_index,
     ingest_dataset,
     load_binary_index,
-    load_index,
     persist_binary_index,
     read_binary_index,
     repair_archive,
@@ -47,6 +52,7 @@ from repro.archive.binindex import BINARY_FILE, BinaryIndex, binary_index_path
 from repro.archive.index import INDEX_DIR
 from repro.archive.repair import QUARANTINE_DIR
 from repro.bench.archive import _smoke_dataset
+from repro.cli.main import main
 from repro.collection.faults import SimulatedClock
 from repro.collection.watch import Watcher, build_watch_world
 from repro.errors import ArchiveError, ArchiveStaleError
@@ -59,6 +65,7 @@ from repro.serving import (
     ServingRequestError,
 )
 from repro.store.purposes import TrustPurpose
+from tests.conftest import scan_engine
 
 
 @pytest.fixture(autouse=True)
@@ -73,12 +80,11 @@ def small_dataset(dataset):
 
 @pytest.fixture(scope="module")
 def served_archive(small_dataset, tmp_path_factory):
-    """A small ingested archive with both index formats persisted."""
+    """A small ingested archive (ingest persists ``trust.bin``)."""
     root = tmp_path_factory.mktemp("serving") / "archive"
     os.environ.setdefault("REPRO_ARCHIVE_FSYNC", "0")
     archive = Archive(root, create=True)
     ingest_dataset(archive, small_dataset)
-    load_index(archive)
     return root
 
 
@@ -100,14 +106,14 @@ def _probes(query: ArchiveQuery):
 class TestBinaryCodec:
     def test_round_trip_is_lossless(self, served_archive):
         archive = Archive(served_archive)
-        index = load_index(archive)
+        index = build_index(archive)
         binary = read_binary_index(archive, archive.catalog_hash())
         assert binary is not None
         assert binary.to_archive_index() == index
         binary.close()
 
     def test_encoding_is_deterministic(self, served_archive):
-        index = load_index(Archive(served_archive))
+        index = build_index(Archive(served_archive))
         assert encode_binary_index(index) == encode_binary_index(index)
 
     def test_open_validates_header_only(self, served_archive):
@@ -121,9 +127,10 @@ class TestBinaryCodec:
     def test_lazy_lookup_decodes_one_posting_list(self, served_archive):
         archive = Archive(served_archive)
         binary = read_binary_index(archive, archive.catalog_hash())
-        fingerprint = sorted(load_index(archive).postings)[0]
+        index = build_index(archive)
+        fingerprint = sorted(index.postings)[0]
         postings = binary.postings_for(fingerprint)
-        assert postings == load_index(archive).postings[fingerprint]
+        assert postings == index.postings[fingerprint]
         assert binary.postings_for("ff" * 32) == ()
         assert binary.postings_for("not-hex") == ()
         binary.close()
@@ -212,71 +219,104 @@ class TestBinaryDamage:
         assert not repair_archive(damaged_clone).index_healed
 
 
-# -- compact persisted JSON (satellite: no pretty-printing) ----------------
+# -- the on-demand JSON view ------------------------------------------------
 
 
-def test_persisted_json_indexes_are_compact(served_archive):
-    for name in ("fingerprints.json", "timelines.json"):
-        text = (served_archive / INDEX_DIR / name).read_text()
-        payload = json.loads(text)
-        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+def test_index_dump_is_stable_and_parses_back(served_archive, capsys):
+    dumps = []
+    for _ in range(2):
+        assert main(["archive", "index-dump", str(served_archive)]) == 0
+        dumps.append(capsys.readouterr().out)
+    assert dumps[0] == dumps[1]
+    text = dumps[0]
+    document = json.loads(text)
+    assert set(document) == {"catalog_hash", "postings", "timelines"}
+    assert text == json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    parsed = ArchiveIndex(
+        catalog_hash=document["catalog_hash"],
+        postings={
+            fp: tuple(
+                Posting(provider=p, version=v, taken_at=date.fromisoformat(d))
+                for p, v, d in rows
+            )
+            for fp, rows in document["postings"].items()
+        },
+        timelines={
+            provider: tuple(
+                TimelineEntry(
+                    taken_at=date.fromisoformat(d), version=v, manifest_id=m, entries=n
+                )
+                for d, v, m, n in rows
+            )
+            for provider, rows in document["timelines"].items()
+        },
+    )
+    assert parsed == build_index(Archive(served_archive))
 
 
 # -- query equivalence -----------------------------------------------------
 
 
 class TestBinaryQueryEquivalence:
+    """``trust.bin`` answers exactly as a manifest scan (:func:`build_index`)."""
+
     @pytest.fixture(scope="class")
     def engines(self, served_archive):
-        return (
-            ArchiveQuery(served_archive, index_loader=load_index),
-            ArchiveQuery(served_archive),  # default loader: trust.bin
-        )
+        return scan_engine(served_archive), ArchiveQuery(served_archive)
 
     def test_loader_is_the_binary_index(self, engines):
         _, binary_engine = engines
         assert isinstance(binary_engine.index, BinaryIndex)
 
+    def test_in_force_identical(self, engines):
+        scan, binary_engine = engines
+        _, dates = _probes(scan)
+        for provider in scan.providers:
+            for when in dates:
+                assert scan.index.in_force(
+                    provider, when
+                ) == binary_engine.index.in_force(provider, when)
+
     def test_trusted_on_identical(self, engines):
-        json_engine, binary_engine = engines
-        fingerprints, dates = _probes(json_engine)
+        scan, binary_engine = engines
+        fingerprints, dates = _probes(scan)
         for when in dates:
-            assert json_engine.trusted_on_many(
+            assert scan.trusted_on_many(
                 fingerprints, when
             ) == binary_engine.trusted_on_many(fingerprints, when)
 
     def test_ever_shipped_identical(self, engines):
-        json_engine, binary_engine = engines
-        fingerprints, _ = _probes(json_engine)
+        scan, binary_engine = engines
+        fingerprints, _ = _probes(scan)
         for fingerprint in fingerprints:
-            assert json_engine.ever_shipped(fingerprint) == binary_engine.ever_shipped(
+            assert scan.ever_shipped(fingerprint) == binary_engine.ever_shipped(
                 fingerprint
             )
 
     def test_snapshot_at_identical(self, engines):
-        json_engine, binary_engine = engines
-        _, dates = _probes(json_engine)
-        for provider in json_engine.providers:
+        scan, binary_engine = engines
+        _, dates = _probes(scan)
+        for provider in scan.providers:
             for when in (dates[0], dates[-1]):
                 ours = binary_engine.snapshot_at(provider, when)
-                theirs = json_engine.snapshot_at(provider, when)
+                theirs = scan.snapshot_at(provider, when)
                 assert (ours is None) == (theirs is None)
                 if ours is not None:
                     assert ours.fingerprints() == theirs.fingerprints()
 
     def test_diff_identical(self, engines):
-        json_engine, binary_engine = engines
-        providers = json_engine.providers
-        _, dates = _probes(json_engine)
+        scan, binary_engine = engines
+        providers = scan.providers
+        _, dates = _probes(scan)
         ours = binary_engine.diff(providers[0], providers[1], when=dates[-1])
-        theirs = json_engine.diff(providers[0], providers[1], when=dates[-1])
+        theirs = scan.diff(providers[0], providers[1], when=dates[-1])
         assert ours == theirs
 
     def test_timelines_and_providers_identical(self, engines):
-        json_engine, binary_engine = engines
-        assert json_engine.providers == binary_engine.providers
-        for provider in json_engine.providers:
-            assert json_engine.timeline(provider) == binary_engine.timeline(provider)
+        scan, binary_engine = engines
+        assert scan.providers == binary_engine.providers
+        for provider in scan.providers:
+            assert scan.timeline(provider) == binary_engine.timeline(provider)
 
 
 def test_trusted_on_many_equals_looped_trusted_on(served_archive):
@@ -330,9 +370,7 @@ class TestReaderVsWatchLoop:
         root = tmp_path / "watched"
         world, watcher = self._watch_world(small_dataset, root)
 
-        engine = ArchiveQuery(
-            root, refresh_on_stale=True, index_loader=load_binary_index
-        )
+        engine = ArchiveQuery(root, refresh_on_stale=True)
         old_hash = engine.catalog_hash
         fingerprints, dates = _probes(engine)
         engine.trusted_on_many(fingerprints[:4], dates[-1])
@@ -344,7 +382,7 @@ class TestReaderVsWatchLoop:
         assert engine.catalog_hash != old_hash
         assert engine.catalog_hash == Archive(root).catalog_hash()
         # The remapped engine answers identically to a fresh one.
-        fresh = ArchiveQuery(root, index_loader=load_binary_index)
+        fresh = ArchiveQuery(root)
         assert engine.trusted_on_many(fingerprints, dates[-1]) == fresh.trusted_on_many(
             fingerprints, dates[-1]
         )
@@ -354,7 +392,7 @@ class TestReaderVsWatchLoop:
     ):
         root = tmp_path / "watched"
         world, watcher = self._watch_world(small_dataset, root)
-        engine = ArchiveQuery(root, index_loader=load_binary_index)
+        engine = ArchiveQuery(root)
         fingerprints, dates = _probes(engine)
 
         world.advance()

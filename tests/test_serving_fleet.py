@@ -32,7 +32,7 @@ import time
 
 import pytest
 
-from repro.archive import Archive, ArchiveQuery, ingest_dataset, load_index
+from repro.archive import Archive, ArchiveQuery, ingest_dataset
 from repro.bench.archive import _smoke_dataset
 from repro.errors import ArchiveError
 from repro.serving import (
@@ -69,7 +69,6 @@ def served_archive(dataset, tmp_path_factory):
     os.environ.setdefault("REPRO_ARCHIVE_FSYNC", "0")
     archive = Archive(root, create=True)
     ingest_dataset(archive, _smoke_dataset(dataset))
-    load_index(archive)
     return root
 
 

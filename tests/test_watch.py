@@ -238,6 +238,24 @@ class TestWatcherHappyPath:
         assert query.index.catalog_hash == watcher.archive.catalog_hash()
         assert ingest_dataset is not None
 
+    def test_index_dir_holds_only_trust_bin(self, small_dataset, tmp_path):
+        """Ingest, a delta-maintained watch commit and repair all persist
+        the index as ``trust.bin`` and nothing else."""
+        from repro.archive import ingest_dataset, repair_archive
+
+        archive = Archive(tmp_path / "arch", create=True)
+
+        def index_files() -> list[str]:
+            return sorted(path.name for path in (archive.root / "index").iterdir())
+
+        ingest_dataset(archive, small_dataset, providers=small_dataset.providers[:1])
+        assert index_files() == ["trust.bin"]
+        world = build_watch_world(small_dataset, hold_back=1)
+        assert Watcher(archive, world.origins, clock=SimulatedClock()).run_cycle().snapshots_ingested
+        assert index_files() == ["trust.bin"]
+        repair_archive(archive)
+        assert index_files() == ["trust.bin"]
+
     def test_report_json_round_trips(self, small_dataset, tmp_path):
         report = _run_scripted_watch(tmp_path / "arch", small_dataset).report
         payload = json.loads(report.to_json())
