@@ -3,7 +3,6 @@
 Runs :func:`repro.bench.run_perf_suite` on the complete seeded corpus
 and enforces the speedup floors the optimization work claims:
 
-- vectorized distance matrix ≥ 10x over the naive per-pair loop,
 - interned certificate parsing ≥ 2x over parsing every occurrence,
 - ``workers=4`` scraping ≥ 1.5x over serial against a latent origin
   (the network-bound shape real collection has; the in-memory numbers
@@ -20,8 +19,9 @@ enforces the storage layer's claims:
 - the archive-backed distance matrix agrees element-wise with the
   live one, and ``archive verify`` reports a healthy archive.
 
-Correctness gates (exact naive/vectorized agreement, byte-identical
-serial/parallel output) are enforced unconditionally.  The resulting
+Correctness gates (byte-identical serial/parallel output) are enforced
+unconditionally; the distance kernel's exactness against the per-pair
+oracle is a tier-1 test.  The resulting
 ``BENCH_ordination.json`` / ``BENCH_archive.json`` are the committed
 perf records; regenerate them with ``repro-roots bench`` and
 ``repro-roots archive bench`` after perf-relevant changes.
@@ -47,17 +47,12 @@ def test_perf_suite(benchmark, dataset, capsys, tmp_path):
     emit(capsys, "\n".join(suite.summary_lines()))
 
     # Correctness gates hold in every mode.
-    assert results["distance"]["max_abs_diff"] <= 1e-12
     assert results["scrape"]["identical"] is True
     assert output.exists()
 
     if is_smoke_mode():
         return  # tiny inputs: timing ratios are noise, stop at correctness
 
-    assert results["distance"]["speedup"] >= 10.0, (
-        "vectorized distance matrix lost its >=10x margin: "
-        f"{results['distance']['speedup']:.1f}x"
-    )
     assert results["intern"]["speedup"] >= 2.0, (
         "certificate intern pool lost its >=2x margin: "
         f"{results['intern']['speedup']:.1f}x"

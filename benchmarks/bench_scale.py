@@ -1,23 +1,21 @@
 """Scale-regression harness — the full-size run behind ``repro-roots bench-scale``.
 
 Runs :func:`repro.bench.run_scale_suite` end-to-end (population →
-ingest → equivalence → memory → landmark MDS) and enforces the floors
-the 10–100× scale work claims:
+ingest → memory → landmark MDS) and enforces the floors the 10–100×
+scale work claims:
 
 - the synthetic population clears ≥5k snapshots and survives a full
   archive round trip (every synthesized snapshot archived),
-- the blocked sparse-slab distance products are **element-wise exact**
-  against the dense oracle on the seeded corpus,
-- at population scale the blocked path's peak allocation beyond the
-  output buffer undercuts the dense path's (n, n) temporaries by ≥8×,
-  and the CSR index stores the incidence in ≤½ the dense float64 bytes,
+- at population scale the tiled full-matrix kernel's peak allocation
+  beyond its (n, n) output is at most an eighth of the output,
 - landmark MDS beats iteration-matched full SMACOF by ≥10× while
   staying within 0.15 stress-1 of it on the full matrix.
 
-Correctness gates (exact blocked/dense agreement, complete round trip)
-are enforced unconditionally.  ``BENCH_scale.json`` is the committed
+The kernel's exactness against the per-pair oracle is asserted by the
+tier-1 tests (``tests/test_analysis_sparse.py``).  The complete round
+trip is enforced unconditionally.  ``BENCH_scale.json`` is the committed
 record; regenerate it with ``repro-roots bench-scale`` after changes
-to the sparse, population, or ordination layers.
+to the distance kernel, population, or ordination layers.
 """
 
 from __future__ import annotations
@@ -40,10 +38,6 @@ def test_scale_suite(benchmark, capsys, tmp_path):
     emit(capsys, "\n".join(suite.summary_lines()))
 
     # Correctness gates hold in every mode.
-    assert results["equivalence"]["max_abs_diff"] == 0.0, (
-        "blocked distance products drifted from the dense oracle: "
-        f"max |diff| {results['equivalence']['max_abs_diff']:.2e}"
-    )
     assert results["ingest"]["round_trip_complete"] is True
     assert results["landmark_mds"]["landmark_stress1"] < 1.0
     assert output.exists()
@@ -62,13 +56,9 @@ def test_scale_suite(benchmark, capsys, tmp_path):
         "archive round trip lost snapshots at scale: "
         f"{ingest['archived_snapshots']} archived"
     )
-    assert memory["sparse_vs_dense_float"] <= 0.5, (
-        "CSR incidence stopped paying for itself vs the dense float64 "
-        f"matrix: {memory['sparse_vs_dense_float']:.2f}x"
-    )
-    assert memory["overhead_ratio"] >= 8.0, (
-        "blocked distance path lost its >=8x peak-allocation margin over "
-        f"the dense temporaries: {memory['overhead_ratio']:.1f}x"
+    assert memory["overhead_share"] <= 1 / 8, (
+        "tiled distance kernel's peak beyond its output exceeded an eighth "
+        f"of the output: {memory['overhead_share']:.3f}"
     )
     assert mds["speedup"] >= 10.0, (
         "landmark MDS lost its >=10x margin over iteration-matched full "

@@ -9,10 +9,10 @@ experiment benches.
 
 import pytest
 
-from repro.analysis import jaccard_distance
 from repro.ct import MerkleTree
 from repro.crypto import DeterministicRandom, SHA256_SPEC, generate_rsa_key
 from repro.formats import parse_certdata, serialize_certdata
+from repro.store.purposes import TrustPurpose
 from repro.x509 import Certificate
 
 
@@ -52,9 +52,9 @@ def test_certdata_parse(benchmark, nss_latest):
 
 
 def test_jaccard_distance(benchmark, dataset):
-    a = dataset["nss"].latest().tls_fingerprints()
-    b = dataset["microsoft"].latest().tls_fingerprints()
-    distance = benchmark(jaccard_distance, a, b)
+    a = dataset["nss"].latest()
+    b = dataset["microsoft"].latest()
+    distance = benchmark(a.jaccard_distance, b, TrustPurpose.SERVER_AUTH)
     assert 0.0 < distance < 1.0
 
 

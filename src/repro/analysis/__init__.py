@@ -43,16 +43,16 @@ from repro.analysis.hygiene import HygieneRow, hygiene_report, hygiene_row, rank
 from repro.analysis.incidence import (
     IncidenceMatrix,
     build_incidence,
-    intersection_counts,
+    cross_distances,
+    incidence_from_sets,
     jaccard_distances,
+    maxmin_landmarks,
     overlap_distances,
 )
 from repro.analysis.jaccard import (
     LabelledMatrix,
     collect_snapshots,
     distance_matrix,
-    jaccard_distance,
-    overlap_distance,
 )
 from repro.analysis.lineage import (
     LineageMatch,
@@ -85,15 +85,6 @@ from repro.analysis.mds import (
     landmark_mds,
     select_landmarks,
     smacof,
-)
-from repro.analysis.sparse import (
-    SparseIncidence,
-    blocked_jaccard_distances,
-    blocked_overlap_distances,
-    build_sparse_incidence,
-    cross_distances,
-    maxmin_landmarks,
-    sparse_from_sets,
 )
 from repro.analysis.timeseries import chart, resample, sparkline
 from repro.analysis.minimization import (
@@ -159,17 +150,13 @@ __all__ = [
     "PyramidStats",
     "RemovalRow",
     "ResponseRow",
-    "SparseIncidence",
     "StalenessSeries",
     "TrafficModel",
     "agility_profile",
     "agility_report",
     "attack_surface",
-    "blocked_jaccard_distances",
-    "blocked_overlap_distances",
     "build_ecosystem_graph",
     "build_incidence",
-    "build_sparse_incidence",
     "chart",
     "conflation_timeline",
     "constraints_extension",
@@ -187,10 +174,9 @@ __all__ = [
     "find_outliers",
     "hygiene_report",
     "hygiene_row",
+    "incidence_from_sets",
     "infer_constraints",
-    "intersection_counts",
     "issuance_profile",
-    "jaccard_distance",
     "jaccard_distances",
     "kruskal_stress",
     "landmark_mds",
@@ -210,7 +196,6 @@ __all__ = [
     "scorecard",
     "sharing_distribution",
     "sharing_timeline",
-    "overlap_distance",
     "overlap_distances",
     "provider_distance_matrix",
     "provider_reachability",
@@ -220,7 +205,6 @@ __all__ = [
     "response_report",
     "select_landmarks",
     "smacof",
-    "sparse_from_sets",
     "sparkline",
     "staleness_report",
     "staleness_series",

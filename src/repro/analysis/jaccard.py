@@ -1,23 +1,23 @@
 """Pairwise Jaccard distances over root store snapshots (Section 4).
 
 The ordination pipeline flattens every provider's snapshots into one
-labelled list and computes the condensed pairwise distance matrix over
-their TLS-trusted fingerprint sets.  An alternative overlap-coefficient
+labelled list and computes the pairwise distance matrix over their
+TLS-trusted fingerprint sets.  An alternative overlap-coefficient
 distance is provided for the ablation benchmark.
 
-The matrix is computed through the shared incidence substrate
-(:mod:`repro.analysis.incidence`): one boolean snapshots × fingerprints
-matrix, one matrix product, inclusion–exclusion unions.  The historical
-per-pair set arithmetic survives behind the ``"jaccard-naive"`` /
-``"overlap-naive"`` metrics as the equivalence oracle — both paths
-produce element-wise identical float64 matrices because every count
-involved is a small exact integer.
+The matrix is computed by the tiled kernel of
+:mod:`repro.analysis.incidence`: one boolean snapshots × fingerprints
+matrix, row-tile matrix products, inclusion–exclusion unions.  Every
+count involved is a small exact integer, so the result is element-wise
+identical to the per-pair set formulas (the equivalence tests keep
+that per-pair loop as their oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
+from typing import Iterable
 
 import numpy as np
 
@@ -52,22 +52,6 @@ class LabelledMatrix:
         return tuple(label[0] for label in self.labels)
 
 
-def jaccard_distance(a: frozenset[str], b: frozenset[str]) -> float:
-    """1 - |A ∩ B| / |A ∪ B|; 0.0 for two empty sets."""
-    union = len(a | b)
-    if union == 0:
-        return 0.0
-    return 1.0 - len(a & b) / union
-
-
-def overlap_distance(a: frozenset[str], b: frozenset[str]) -> float:
-    """1 - |A ∩ B| / min(|A|, |B|) (the ablation alternative)."""
-    smaller = min(len(a), len(b))
-    if smaller == 0:
-        return 0.0 if not a and not b else 1.0
-    return 1.0 - len(a & b) / smaller
-
-
 def collect_snapshots(
     dataset: Dataset,
     *,
@@ -89,31 +73,33 @@ def collect_snapshots(
     return result
 
 
-#: metric name -> per-pair distance function (the naive oracle path).
-_PAIRWISE = {"jaccard": jaccard_distance, "overlap": overlap_distance}
-#: metric name -> incidence-matrix distance function (the fast path).
-_VECTORIZED = {"jaccard": jaccard_distances, "overlap": overlap_distances}
+#: metric name -> full-matrix kernel.
+_KERNELS = {"jaccard": jaccard_distances, "overlap": overlap_distances}
 
 
-def _require_purpose_support(
-    snapshots: list[RootStoreSnapshot], purpose: TrustPurpose | None
-) -> None:
-    """Reject snapshots that cannot express the requested purpose.
+def require_purpose_support(stores: Iterable, purpose: TrustPurpose | None) -> None:
+    """Reject stores that cannot express the requested purpose.
 
-    A non-empty snapshot whose entries carry no statement at all for
+    A non-empty store whose entries carry no statement at all for
     ``purpose`` would contribute an empty fingerprint set and sit at
     distance 1.0 from everything — a silent artifact of the purpose
     vocabulary, not a measurement.  Name the offender instead.
+
+    ``stores`` are snapshots or archive manifests (anything with
+    ``fingerprints``, ``entries`` and the provider/version/date label).
+    Only a store whose purpose set is empty while it holds entries is
+    inspected, so a well-supported purpose costs one memoized set
+    lookup per store.
     """
     if purpose is None:
         return
-    for snapshot in snapshots:
-        if len(snapshot) == 0:
+    for store in stores:
+        if store.fingerprints(purpose) or not store.entries:
             continue
-        if not any(e.level_for(purpose) is not None for e in snapshot):
+        if not any(e.level_for(purpose) is not None for e in store.entries):
             raise AnalysisError(
-                f"snapshot {snapshot.provider}@{snapshot.version} "
-                f"({snapshot.taken_at:%Y-%m-%d}) has no trust statement for "
+                f"snapshot {store.provider}@{store.version} "
+                f"({store.taken_at:%Y-%m-%d}) has no trust statement for "
                 f"{purpose}; its empty fingerprint set would poison the "
                 f"distance matrix"
             )
@@ -127,37 +113,13 @@ def distance_matrix(
 ) -> LabelledMatrix:
     """Pairwise distances between snapshot fingerprint sets.
 
-    ``metric`` is ``"jaccard"`` or ``"overlap"`` (vectorized via the
-    incidence matrix), or ``"jaccard-naive"`` / ``"overlap-naive"`` for
-    the original per-pair loop kept as the equivalence oracle.
+    ``metric`` is ``"jaccard"`` or ``"overlap"``.
     """
     if not snapshots:
         raise AnalysisError("no snapshots to compare")
-    base = metric.removesuffix("-naive")
-    if base not in _PAIRWISE:
+    if metric not in _KERNELS:
         raise AnalysisError(f"unknown metric {metric!r}")
-    _require_purpose_support(snapshots, purpose)
-    labels = tuple((s.provider, s.taken_at, s.version) for s in snapshots)
-
-    if metric.endswith("-naive"):
-        with stage_timer(
-            "analysis.distance",
-            "repro_analysis_stage_seconds",
-            metric_labels={"stage": "distance"},
-            metric_name=metric,
-            snapshots=len(snapshots),
-        ):
-            fn = _PAIRWISE[base]
-            sets = [s.fingerprints(purpose) for s in snapshots]
-            n = len(sets)
-            matrix = np.zeros((n, n), dtype=np.float64)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d = fn(sets[i], sets[j])
-                    matrix[i, j] = d
-                    matrix[j, i] = d
-            return LabelledMatrix(labels=labels, matrix=matrix)
-
+    require_purpose_support(snapshots, purpose)
     incidence = build_incidence(snapshots, purpose=purpose)
     with stage_timer(
         "analysis.distance",
@@ -166,5 +128,5 @@ def distance_matrix(
         metric_name=metric,
         snapshots=len(snapshots),
     ):
-        matrix = _VECTORIZED[base](incidence)
-    return LabelledMatrix(labels=labels, matrix=matrix)
+        matrix = _KERNELS[metric](incidence)
+    return LabelledMatrix(labels=incidence.labels, matrix=matrix)

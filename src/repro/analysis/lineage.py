@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-from repro.analysis.jaccard import jaccard_distance
 from repro.errors import AnalysisError
 from repro.store.history import StoreHistory
+from repro.store.purposes import TrustPurpose
 from repro.store.snapshot import RootStoreSnapshot
 
 
@@ -50,20 +50,20 @@ def match_snapshot(
     """
     if not nss_versions:
         raise AnalysisError("no NSS versions to match against")
-    target = snapshot.tls_fingerprints()
+    tls = TrustPurpose.SERVER_AUTH
     best_index = None
     best_distance = None
     for index, candidate in enumerate(nss_versions):
         if no_future and candidate.taken_at > snapshot.taken_at:
             break
-        d = jaccard_distance(target, candidate.tls_fingerprints())
+        d = snapshot.jaccard_distance(candidate, tls)
         if best_distance is None or d <= best_distance:
             best_distance = d
             best_index = index
     if best_index is None:
         # Snapshot predates all NSS versions; match the earliest.
         best_index = 0
-        best_distance = jaccard_distance(target, nss_versions[0].tls_fingerprints())
+        best_distance = snapshot.jaccard_distance(nss_versions[0], tls)
     matched = nss_versions[best_index]
     return LineageMatch(
         provider=snapshot.provider,

@@ -6,8 +6,8 @@ Figure 1's ordination.  Also provides classical (Torgerson) MDS for the
 ablation benchmark, the Kruskal stress-1 quality metric, and
 :func:`landmark_mds` — the O(k² + nk) landmark/pivot variant that keeps
 ordination tractable at corpus scales where full SMACOF's O(n²) per
-iteration is intractable (see :mod:`repro.analysis.sparse` for the
-matching distance substrate).
+iteration is intractable (see :mod:`repro.analysis.incidence` for the
+tiled distance kernel that feeds it (k, n) strips).
 """
 
 from __future__ import annotations
@@ -253,8 +253,8 @@ class LandmarkMDSResult:
 def select_landmarks(n: int, k: int) -> tuple[int, ...]:
     """Evenly strided landmark indices — the zero-information fallback.
 
-    :func:`repro.analysis.sparse.maxmin_landmarks` picks better-spread
-    pivots when a sparse incidence is available; this exists for plain
+    :func:`repro.analysis.incidence.maxmin_landmarks` picks better-spread
+    pivots when an incidence matrix is available; this exists for plain
     dissimilarity-matrix callers.
     """
     if k < 2:

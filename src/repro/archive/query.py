@@ -48,8 +48,6 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from repro.archive.binindex import BinaryIndex, load_binary_index
 from repro.archive.index import Posting, TimelineEntry
 from repro.archive.manifest import Archive, SnapshotManifest
@@ -589,36 +587,20 @@ class ArchiveQuery:
     ):
         """The snapshots × fingerprints incidence matrix, from manifests.
 
-        Feeds the vectorized analysis substrate
-        (:mod:`repro.analysis.incidence`) directly from the archive: no
-        corpus synthesis, no scraping, no certificate parsing — the
-        purpose filter runs on the trust bits stored in each manifest.
+        Feeds the distance kernel (:mod:`repro.analysis.incidence`)
+        directly from the archive: no corpus synthesis, no scraping, no
+        certificate parsing — the purpose filter runs on the trust bits
+        stored in each manifest.
 
-        With ``sparse=True`` returns a
-        :class:`~repro.analysis.sparse.SparseIncidence` instead — the
-        CSR-style representation, whose footprint tracks the number of
-        incidences rather than snapshots × universe.  At real store
-        densities it is about the size of the dense *bool* matrix
-        (BENCH_scale: 2.54 MB CSR vs 2.43 MB bool) and an eighth of the
-        float64 matrix the distance algebra would otherwise densify; the
-        gain is in the blocked products, which never hold more than
-        two dense slabs.
+        ``sparse`` exists for compatibility only: either value returns
+        the same bool :class:`~repro.analysis.incidence.IncidenceMatrix`.
         """
-        from repro.analysis.incidence import IncidenceMatrix
-        from repro.analysis.sparse import sparse_from_sets
+        from repro.analysis.incidence import incidence_from_sets
 
         labels, sets = self._fingerprint_sets(
             purpose=purpose, since=since, providers=providers
         )
-        if sparse:
-            return sparse_from_sets(labels, sets)
-        universe = sorted(frozenset().union(*sets))
-        column = {fingerprint: k for k, fingerprint in enumerate(universe)}
-        matrix = np.zeros((len(sets), len(universe)), dtype=bool)
-        for row, fingerprints in enumerate(sets):
-            if fingerprints:
-                matrix[row, [column[f] for f in fingerprints]] = True
-        return IncidenceMatrix(labels=labels, fingerprints=tuple(universe), matrix=matrix)
+        return incidence_from_sets(labels, sets)
 
     def distance_matrix(
         self,
@@ -627,42 +609,29 @@ class ArchiveQuery:
         purpose: TrustPurpose | None = TrustPurpose.SERVER_AUTH,
         since: date | None = None,
         providers: list[str] | None = None,
-        blocked: bool = False,
-        block_rows: int | None = None,
     ):
         """The pairwise distance matrix over archived snapshots.
 
         Equivalent to ``repro.analysis.distance_matrix`` over the live
-        corpus (the equivalence tests assert element-wise identity) but
-        sourced purely from the archive.
-
-        With ``blocked=True`` the matrix is computed tile-by-tile from
-        the sparse incidence — element-wise identical output, but peak
-        memory stays one (n, n) output buffer plus two
-        (``block_rows`` × universe) slabs instead of the dense boolean
-        matrix and its full-size temporaries.
+        corpus (the equivalence tests assert element-wise identity, and
+        the same :class:`~repro.errors.AnalysisError` for a purpose a
+        snapshot cannot express) but sourced purely from the archive.
         """
         from repro.analysis.incidence import jaccard_distances, overlap_distances
-        from repro.analysis.jaccard import LabelledMatrix
-        from repro.analysis.sparse import (
-            DEFAULT_BLOCK_ROWS,
-            blocked_jaccard_distances,
-            blocked_overlap_distances,
-        )
+        from repro.analysis.jaccard import LabelledMatrix, require_purpose_support
 
-        vectorized = {"jaccard": jaccard_distances, "overlap": overlap_distances}
-        tiled = {"jaccard": blocked_jaccard_distances, "overlap": blocked_overlap_distances}
-        if metric not in vectorized:
+        kernels = {"jaccard": jaccard_distances, "overlap": overlap_distances}
+        if metric not in kernels:
             raise ArchiveError(f"unknown metric {metric!r}")
-        if blocked:
-            sparse = self.incidence(
-                purpose=purpose, since=since, providers=providers, sparse=True
-            )
-            matrix = tiled[metric](
-                sparse, block_rows=block_rows or DEFAULT_BLOCK_ROWS
-            )
-            return LabelledMatrix(labels=sparse.labels, matrix=matrix)
         incidence = self.incidence(purpose=purpose, since=since, providers=providers)
-        return LabelledMatrix(
-            labels=incidence.labels, matrix=vectorized[metric](incidence)
-        )
+        if purpose is not None:
+            selected = self.collect_labels(since=since, providers=providers)
+            require_purpose_support(
+                (
+                    self._manifest(provider, entry.manifest_id)
+                    for (provider, entry), size in zip(selected, incidence.set_sizes)
+                    if size == 0
+                ),
+                purpose,
+            )
+        return LabelledMatrix(labels=incidence.labels, matrix=kernels[metric](incidence))

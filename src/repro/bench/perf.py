@@ -3,9 +3,9 @@
 The suite measures four things, mirroring the optimization work they
 guard:
 
-- **distance**: full-dataset Jaccard distance matrix, naive per-pair
-  loop vs. the vectorized incidence-matrix path, with the element-wise
-  maximum deviation between the two (must be ~0).
+- **distance**: the full-dataset Jaccard distance matrix through the
+  tiled incidence kernel (its exactness against the per-pair oracle is
+  a tier-1 test, not a bench section).
 - **mds**: SMACOF stress-majorization on that matrix (the Figure 1
   embedding), whose per-iteration distance computation uses the Gram
   formulation.
@@ -74,10 +74,7 @@ class PerfSuite:
         r = self.results
         lines = [
             f"mode                : {r['mode']} ({r['snapshots']} snapshots)",
-            f"distance naive      : {r['distance']['naive_s']:.4f} s",
-            f"distance vectorized : {r['distance']['vectorized_s']:.4f} s "
-            f"({r['distance']['speedup']:.1f}x, max |diff| "
-            f"{r['distance']['max_abs_diff']:.2e})",
+            f"distance vectorized : {r['distance']['vectorized_s']:.4f} s",
             f"smacof              : {r['mds']['smacof_s']:.4f} s "
             f"({r['mds']['iterations']} iterations, stress {r['mds']['stress']:.2f})",
             f"parse fresh         : {r['intern']['fresh_s']:.4f} s "
@@ -126,24 +123,14 @@ def _timed(
 
 
 def _bench_distance(snapshots, *, rounds: int) -> dict:
-    naive_s, naive = _timed(
-        lambda: distance_matrix(snapshots, metric="jaccard-naive"),
-        rounds=rounds,
-        suite="perf",
-        section="distance_naive",
-    )
     vectorized_s, vectorized = _timed(
         lambda: distance_matrix(snapshots, metric="jaccard"),
         rounds=rounds,
         suite="perf",
         section="distance_vectorized",
     )
-    max_abs_diff = float(np.abs(naive.matrix - vectorized.matrix).max())
     return {
-        "naive_s": naive_s,
         "vectorized_s": vectorized_s,
-        "speedup": naive_s / vectorized_s if vectorized_s > 0 else float("inf"),
-        "max_abs_diff": max_abs_diff,
         "matrix": vectorized.matrix,  # handed to the MDS section, stripped on dump
     }
 

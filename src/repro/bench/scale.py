@@ -8,11 +8,11 @@ claims that make that real:
 - **population + ingest**: synthesize a ≥5k-snapshot derivative
   population deterministically (no new certificate minting) and ingest
   it into a fresh archive end-to-end.
-- **equivalence + memory**: the blocked (sparse-slab) distance
-  products must agree **element-wise exactly** with the dense oracle on
-  the seeded 649-snapshot corpus, and at population scale their peak
-  allocation beyond the output buffer must undercut the dense path's
-  (n, n) temporaries by a wide margin (tracemalloc-measured).
+- **memory**: at population scale, the bool incidence matrix's bytes
+  and build peak, and the tiled full-matrix kernel's peak allocation
+  beyond its (n, n) output, which must stay at most an eighth of the
+  output (tracemalloc-measured).  The kernel's exactness against the
+  per-pair oracle is a tier-1 test, not a bench section.
 - **landmark MDS**: the k-landmark embed + triangulate pipeline must
   beat iteration-matched full SMACOF by ≥10× at population scale while
   staying within stress tolerance of it on the full-matrix Kruskal
@@ -32,16 +32,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from repro.analysis.incidence import build_incidence, jaccard_distances
-from repro.analysis.mds import kruskal_stress, landmark_mds, smacof
-from repro.analysis.sparse import (
-    blocked_jaccard_distances,
-    build_sparse_incidence,
+from repro.analysis.incidence import (
+    TILE_ROWS,
+    build_incidence,
     cross_distances,
+    jaccard_distances,
     maxmin_landmarks,
 )
+from repro.analysis.mds import kruskal_stress, landmark_mds, smacof
 from repro.archive import Archive, ArchiveQuery, ingest_dataset
 from repro.archive.io import set_fsync
 from repro.bench.perf import _timed, is_smoke_mode
@@ -78,7 +76,7 @@ class ScaleSuite:
     def summary_lines(self) -> list[str]:
         r = self.results
         pop, ing = r["population"], r["ingest"]
-        eq, mem, mds = r["equivalence"], r["memory"], r["landmark_mds"]
+        mem, mds = r["memory"], r["landmark_mds"]
         return [
             f"mode                : {r['mode']}",
             f"population          : {pop['synthesize_s']:.2f} s "
@@ -88,14 +86,12 @@ class ScaleSuite:
             f"({ing['snapshots_added']} snapshots, "
             f"{ing['manifests_written']} manifests, "
             f"archived={ing['archived_snapshots']})",
-            f"blocked == dense    : max |diff| {eq['max_abs_diff']:.2e} "
-            f"at {eq['snapshots']} snapshots (jaccard + overlap)",
-            f"sparse index        : {mem['sparse_bytes'] / 1e6:.2f} MB vs "
-            f"{mem['dense_float_bytes'] / 1e6:.2f} MB dense float64 "
-            f"({mem['sparse_vs_dense_float']:.2f}x)",
-            f"distance overhead   : blocked {mem['blocked_overhead_bytes'] / 1e6:.1f} MB "
-            f"vs dense {mem['dense_overhead_bytes'] / 1e6:.1f} MB beyond the "
-            f"output ({mem['overhead_ratio']:.1f}x smaller)",
+            f"bool incidence      : {mem['incidence_bytes'] / 1e6:.2f} MB "
+            f"({mem['snapshots']} x {mem['universe']}), build peak "
+            f"{mem['incidence_build_peak_bytes'] / 1e6:.1f} MB",
+            f"distance overhead   : {mem['distance_overhead_bytes'] / 1e6:.1f} MB "
+            f"beyond the {mem['distance_output_bytes'] / 1e6:.1f} MB output "
+            f"({mem['overhead_share']:.3f} of it, {mem['tile_rows']}-row tiles)",
             f"full smacof         : {mds['full_s']:.2f} s "
             f"({mds['points']} points, {mds['iterations']} iteration cap, "
             f"stress1 {mds['full_stress1']:.4f})",
@@ -167,80 +163,24 @@ def _bench_ingest(root: Path, dataset: Dataset) -> tuple[ArchiveQuery, dict]:
     }
 
 
-def _bench_equivalence(base_dataset: Dataset, *, rounds: int) -> dict:
-    """Blocked products vs the dense oracle on the *seeded* corpus."""
-    snapshots = base_dataset.all_snapshots()
-    dense = build_incidence(snapshots)
-    sparse = build_sparse_incidence(snapshots)
-    dense_jaccard_s, dense_jaccard = _timed(
-        lambda: jaccard_distances(dense),
-        rounds=rounds,
-        suite="scale",
-        section="dense_jaccard",
-    )
-    blocked_jaccard_s, blocked_jaccard = _timed(
-        lambda: blocked_jaccard_distances(sparse, block_rows=256),
-        rounds=rounds,
-        suite="scale",
-        section="blocked_jaccard",
-    )
-    from repro.analysis.incidence import overlap_distances
-    from repro.analysis.sparse import blocked_overlap_distances
-
-    jaccard_diff = float(np.abs(dense_jaccard - blocked_jaccard).max())
-    overlap_diff = float(
-        np.abs(
-            overlap_distances(dense) - blocked_overlap_distances(sparse, block_rows=256)
-        ).max()
-    )
-    return {
-        "snapshots": len(snapshots),
-        "dense_jaccard_s": dense_jaccard_s,
-        "blocked_jaccard_s": blocked_jaccard_s,
-        "jaccard_max_abs_diff": jaccard_diff,
-        "overlap_max_abs_diff": overlap_diff,
-        "max_abs_diff": max(jaccard_diff, overlap_diff),
-    }
-
-
 def _bench_memory(dataset: Dataset) -> dict:
     """Peak-allocation accounting at population scale (tracemalloc)."""
     snapshots = dataset.all_snapshots()
     n = len(snapshots)
-    sparse_peak, sparse = _tracemalloc_peak(
-        lambda: build_sparse_incidence(snapshots)
-    )
-    dense_peak, dense = _tracemalloc_peak(lambda: build_incidence(snapshots))
-    dense_bool_bytes = int(dense.matrix.nbytes)
-    # The dense product path must materialize the float64 incidence for
-    # the matmul; that is the honest storage baseline for the CSR index.
-    dense_float_bytes = dense_bool_bytes * 8
+    build_peak, incidence = _tracemalloc_peak(lambda: build_incidence(snapshots))
     output_bytes = n * n * 8
-    dense_distance_peak, _ = _tracemalloc_peak(lambda: jaccard_distances(dense))
-    del dense
-    blocked_distance_peak, _ = _tracemalloc_peak(
-        lambda: blocked_jaccard_distances(sparse)
-    )
-    dense_overhead = max(0, dense_distance_peak - output_bytes)
-    blocked_overhead = max(0, blocked_distance_peak - output_bytes)
+    distance_peak, _ = _tracemalloc_peak(lambda: jaccard_distances(incidence))
+    overhead = max(0, distance_peak - output_bytes)
     return {
         "snapshots": n,
-        "universe": sparse.n_cols,
-        "nnz": sparse.nnz,
-        "sparse_bytes": int(sparse.nbytes),
-        "dense_bool_bytes": dense_bool_bytes,
-        "dense_float_bytes": dense_float_bytes,
-        "sparse_vs_dense_float": sparse.nbytes / dense_float_bytes,
-        "sparse_build_peak_bytes": int(sparse_peak),
-        "dense_build_peak_bytes": int(dense_peak),
+        "universe": len(incidence.fingerprints),
+        "incidence_bytes": int(incidence.matrix.nbytes),
+        "incidence_build_peak_bytes": int(build_peak),
+        "tile_rows": TILE_ROWS,
         "distance_output_bytes": output_bytes,
-        "dense_distance_peak_bytes": int(dense_distance_peak),
-        "blocked_distance_peak_bytes": int(blocked_distance_peak),
-        "dense_overhead_bytes": int(dense_overhead),
-        "blocked_overhead_bytes": int(blocked_overhead),
-        "overhead_ratio": (
-            dense_overhead / blocked_overhead if blocked_overhead > 0 else float("inf")
-        ),
+        "distance_peak_bytes": int(distance_peak),
+        "distance_overhead_bytes": int(overhead),
+        "overhead_share": overhead / output_bytes,
     }
 
 
@@ -248,9 +188,8 @@ def _bench_landmark_mds(
     dataset: Dataset, *, landmarks: int, max_iterations: int
 ) -> dict:
     """Landmark embed+triangulate vs iteration-matched full SMACOF."""
-    snapshots = dataset.all_snapshots()
-    sparse = build_sparse_incidence(snapshots)
-    full_matrix = blocked_jaccard_distances(sparse)
+    incidence = build_incidence(dataset.all_snapshots())
+    full_matrix = jaccard_distances(incidence)
 
     full_s, full_result = _timed(
         lambda: smacof(full_matrix, dims=2, max_iterations=max_iterations),
@@ -260,8 +199,8 @@ def _bench_landmark_mds(
     )
 
     def landmark_pipeline():
-        picked = maxmin_landmarks(sparse, landmarks)
-        cross = cross_distances(sparse, picked)
+        picked = maxmin_landmarks(incidence, landmarks)
+        cross = cross_distances(incidence, picked)
         return landmark_mds(
             cross, picked, dims=2, max_iterations=max_iterations
         )
@@ -277,7 +216,7 @@ def _bench_landmark_mds(
     full_stress1 = kruskal_stress(full_matrix, full_result.embedding)
     landmark_stress1 = kruskal_stress(full_matrix, landmark_result.embedding)
     return {
-        "points": sparse.n_rows,
+        "points": incidence.n_rows,
         "landmarks": landmarks,
         "iterations": max_iterations,
         "full_s": full_s,
@@ -301,7 +240,7 @@ def run_scale_suite(
 
     ``smoke=None`` reads ``REPRO_BENCH_SMOKE``; smoke mode synthesizes
     a 3-provider tail, runs the same end-to-end path (population →
-    ingest → equivalence → memory → landmark MDS) on it, and leaves the
+    ingest → memory → landmark MDS) on it, and leaves the
     floor-checking to full mode.
     """
     if smoke is None:
@@ -322,18 +261,17 @@ def run_scale_suite(
     with tempfile.TemporaryDirectory(prefix="repro-bench-scale-") as tmp:
         _, ingest = _bench_ingest(Path(tmp), dataset)
 
-    base = corpus.dataset
     if smoke:
-        # Equivalence on a trimmed seeded corpus keeps smoke cheap.
+        # A trimmed seeded corpus keeps the smoke analysis sections cheap.
         from repro.store.history import StoreHistory
 
-        trimmed = Dataset()
-        for provider in base.providers[:3]:
-            trimmed.add_history(
-                StoreHistory(provider, snapshots=list(base[provider].snapshots)[:8])
+        mds_dataset = Dataset()
+        for provider in corpus.dataset.providers[:3]:
+            mds_dataset.add_history(
+                StoreHistory(
+                    provider, snapshots=list(corpus.dataset[provider].snapshots)[:8]
+                )
             )
-        base = trimmed
-        mds_dataset = base
     else:
         mds_dataset = dataset
 
@@ -343,7 +281,6 @@ def run_scale_suite(
         "target_snapshots": 0 if smoke else FULL_TARGET_SNAPSHOTS,
         "population": population,
         "ingest": ingest,
-        "equivalence": _bench_equivalence(base, rounds=rounds),
         "memory": _bench_memory(mds_dataset),
         "landmark_mds": _bench_landmark_mds(
             mds_dataset, landmarks=landmarks, max_iterations=max_iterations

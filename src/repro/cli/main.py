@@ -20,8 +20,8 @@ Subcommands map one-to-one onto the paper's experiments::
     repro-roots serve DIR            # batched trust-query daemon over the archive
     repro-roots bench                # perf-regression harness (BENCH_ordination.json)
     repro-roots bench-scale          # population-scale harness (BENCH_scale.json):
-                                     #   synthetic corpus, blocked distances,
-                                     #   landmark MDS
+                                     #   synthetic corpus, distance-kernel
+                                     #   memory, landmark MDS
     repro-roots archive ...          # on-disk archive: ingest|query|diff|index-dump|
                                      #   verify|gc|repair|bench|bench-ingest|
                                      #   bench-robustness|bench-serving
@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_scale = sub.add_parser(
         "bench-scale",
         help="population-scale benchmarks: synthesize + ingest a ≥5k-snapshot "
-        "corpus, blocked-vs-dense distance equivalence and memory, "
+        "corpus, incidence and distance-kernel memory, "
         "landmark MDS vs full SMACOF (BENCH_scale.json)",
     )
     bench_scale.add_argument(

@@ -177,8 +177,7 @@ METRICS: tuple[MetricSpec, ...] = (
     # -- analysis: stage latency -----------------------------------------
     MetricSpec(
         "repro_analysis_stage_seconds", HISTOGRAM,
-        "Analysis stage wall time (incidence|sparse_incidence|distance|"
-        "blocked_distance|smacof|landmark_mds).",
+        "Analysis stage wall time (incidence|distance|smacof|landmark_mds).",
         ("stage",), DEFAULT_SECONDS_BUCKETS,
     ),
     # -- simulation: corpus/population synthesis -------------------------

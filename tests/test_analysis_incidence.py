@@ -1,9 +1,9 @@
 """Equivalence and property tests for the incidence-matrix substrate.
 
-The vectorized Jaccard/overlap matrices must match the naive per-pair
-implementation element-wise — these tests are the contract that lets
-``distance_matrix`` route through :mod:`repro.analysis.incidence` while
-keeping the old loop as the oracle behind ``*-naive`` metrics.
+The tiled kernel's Jaccard/overlap matrices must match the per-pair
+oracle (:mod:`tests.oracle`) element-wise — these tests are the
+contract that lets ``distance_matrix`` route through
+:mod:`repro.analysis.incidence` with no per-pair path in production.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.errors import AnalysisError
 from repro.store import RootStoreSnapshot, TrustEntry
 from repro.store.purposes import TrustLevel, TrustPurpose
 from tests.conftest import make_cert
+from tests.oracle import pairwise_distances
 
 POOL_SIZE = 8
 
@@ -60,23 +61,28 @@ _subset_lists = st.lists(
 )
 
 
+def _oracle(snapshots, metric):
+    sets = [s.fingerprints(TrustPurpose.SERVER_AUTH) for s in snapshots]
+    return pairwise_distances(sets, metric)
+
+
 class TestVectorizedEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(_subset_lists)
     def test_jaccard_matches_naive(self, cert_pool, subsets):
         snapshots = _snapshots_from_subsets(cert_pool, subsets)
-        naive = distance_matrix(snapshots, metric="jaccard-naive")
+        naive = _oracle(snapshots, "jaccard")
         fast = distance_matrix(snapshots, metric="jaccard")
-        assert np.abs(naive.matrix - fast.matrix).max() <= 1e-12
-        assert fast.labels == naive.labels
+        assert np.abs(naive - fast.matrix).max() <= 1e-12
+        assert fast.labels == tuple((s.provider, s.taken_at, s.version) for s in snapshots)
 
     @settings(max_examples=60, deadline=None)
     @given(_subset_lists)
     def test_overlap_matches_naive(self, cert_pool, subsets):
         snapshots = _snapshots_from_subsets(cert_pool, subsets)
-        naive = distance_matrix(snapshots, metric="overlap-naive")
+        naive = _oracle(snapshots, "overlap")
         fast = distance_matrix(snapshots, metric="overlap")
-        assert np.abs(naive.matrix - fast.matrix).max() <= 1e-12
+        assert np.abs(naive - fast.matrix).max() <= 1e-12
 
     def test_all_empty_snapshots(self, cert_pool):
         snapshots = _snapshots_from_subsets(cert_pool, [frozenset(), frozenset()])
@@ -101,9 +107,9 @@ class TestVectorizedEquivalence:
     def test_full_seeded_dataset_identical(self, dataset):
         """The acceptance bar: element-wise identity on the full corpus."""
         snapshots = collect_snapshots(dataset)
-        naive = distance_matrix(snapshots, metric="jaccard-naive")
+        naive = _oracle(snapshots, "jaccard")
         fast = distance_matrix(snapshots, metric="jaccard")
-        assert np.abs(naive.matrix - fast.matrix).max() <= 1e-12
+        assert np.abs(naive - fast.matrix).max() <= 1e-12
         assert fast.matrix.dtype == np.float64
         assert np.array_equal(fast.matrix, fast.matrix.T)
 

@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    collect_snapshots,
-    distance_matrix,
-    jaccard_distance,
-    overlap_distance,
-)
+from repro.analysis import collect_snapshots, distance_matrix
 from repro.errors import AnalysisError
 from repro.store import RootStoreSnapshot, TrustEntry
+from tests.oracle import jaccard_distance, overlap_distance
 
 _sets = st.frozensets(st.text(alphabet="abcdef", min_size=1, max_size=3), max_size=12)
 

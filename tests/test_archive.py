@@ -352,31 +352,78 @@ class TestQuery:
         assert float(np.abs(archived.matrix - live.matrix).max()) == 0.0
 
     def test_sparse_incidence_matches_dense(self, query):
+        """``sparse=True`` is accepted and returns an equal IncidenceMatrix."""
         import numpy as np
+
+        from repro.analysis import IncidenceMatrix
 
         since = date(2015, 1, 1)
         dense = query.incidence(since=since)
         sparse = query.incidence(since=since, sparse=True)
+        assert isinstance(sparse, IncidenceMatrix)
         assert sparse.labels == dense.labels
         assert sparse.fingerprints == dense.fingerprints
-        assert np.array_equal(sparse.to_dense().matrix, dense.matrix)
-        # CSR invariants: monotone row pointers, sorted in-row columns.
-        assert (np.diff(sparse.indptr) >= 0).all()
-        for row in range(min(sparse.n_rows, 5)):
-            columns = sparse.indices[sparse.indptr[row] : sparse.indptr[row + 1]]
-            assert (np.diff(columns) > 0).all()
+        assert np.array_equal(sparse.matrix, dense.matrix)
+        assert sparse.n_rows == len(dense.labels)
 
-    def test_blocked_distance_matrix_matches_dense(self, query):
+    def test_blocked_distance_matrix_matches_dense(self, query, monkeypatch):
+        """Archive distances at a small, ragged tile height equal the one
+        kernel's distances over the ``sparse=True`` incidence at the
+        default tile height, for both metrics."""
         import numpy as np
 
+        from repro.analysis import incidence as incidence_module
+        from repro.analysis import jaccard_distances, overlap_distances
+
         since = date(2015, 1, 1)
-        for metric in ("jaccard", "overlap"):
-            dense = query.distance_matrix(metric=metric, since=since)
-            blocked = query.distance_matrix(
-                metric=metric, since=since, blocked=True, block_rows=37
-            )
-            assert blocked.labels == dense.labels
-            assert float(np.abs(blocked.matrix - dense.matrix).max()) == 0.0
+        sparse = query.incidence(since=since, sparse=True)
+        kernels = {"jaccard": jaccard_distances, "overlap": overlap_distances}
+        expected = {metric: kernel(sparse) for metric, kernel in kernels.items()}
+        monkeypatch.setattr(incidence_module, "TILE_ROWS", 37)
+        for metric in kernels:
+            blocked = query.distance_matrix(metric=metric, since=since)
+            assert blocked.labels == sparse.labels
+            assert float(np.abs(blocked.matrix - expected[metric]).max()) == 0.0
+
+    @pytest.mark.parametrize("path", ("live", "archive"))
+    @pytest.mark.parametrize("purpose", list(TrustPurpose), ids=str)
+    def test_unsupported_purpose_same_error_on_both_paths(
+        self, dataset, query, purpose, path
+    ):
+        """Live and archive distances agree on every purpose: the same
+        typed error naming the same snapshot, or equal matrices."""
+        from repro.analysis import collect_snapshots, distance_matrix
+        from repro.errors import AnalysisError
+
+        snapshots = collect_snapshots(dataset)
+        paths = {
+            "live": lambda: distance_matrix(snapshots, purpose=purpose),
+            "archive": lambda: query.distance_matrix(purpose=purpose),
+        }
+
+        def outcome(fn):
+            try:
+                labelled = fn()
+            except AnalysisError as exc:
+                return AnalysisError, str(exc)
+            return labelled.labels, labelled.matrix.tobytes()
+
+        other = "archive" if path == "live" else "live"
+        mine = outcome(paths[path])
+        assert mine == outcome(paths[other])
+        silent = next(
+            (
+                s
+                for s in snapshots
+                if len(s) and all(e.level_for(purpose) is None for e in s)
+            ),
+            None,
+        )
+        if silent is None:
+            assert mine[0] == tuple((s.provider, s.taken_at, s.version) for s in snapshots)
+        else:
+            assert mine[0] is AnalysisError
+            assert f"snapshot {silent.provider}@{silent.version} " in mine[1]
 
     def test_warm_queries_hit_caches(self, archive_dir):
         engine = ArchiveQuery(archive_dir)
@@ -475,12 +522,7 @@ def _query_answers(engine: ArchiveQuery, fingerprints, dates) -> dict:
     distances = engine.distance_matrix()
     return {
         "incidence": (dense.labels, dense.fingerprints, dense.matrix.tobytes()),
-        "sparse": (
-            sparse.labels,
-            sparse.fingerprints,
-            sparse.indptr.tobytes(),
-            sparse.indices.tobytes(),
-        ),
+        "sparse": (sparse.labels, sparse.fingerprints, sparse.matrix.tobytes()),
         "distance_matrix": (distances.labels, distances.matrix.tobytes()),
         "trusted_on_many": [
             engine.trusted_on_many(fingerprints, when, purpose=purpose)

@@ -46,8 +46,7 @@ class TestSmokeMode:
             "scrape",
         }
 
-        # Correctness gates: vectorized == naive, parallel == serial.
-        assert results["distance"]["max_abs_diff"] <= 1e-12
+        # Correctness gate: parallel == serial.
         assert results["scrape"]["identical"] is True
         # Interning must actually dedup: the dataset repeats roots
         # across snapshots, so occurrences exceed unique DERs.
@@ -56,7 +55,6 @@ class TestSmokeMode:
         # Timings exist and are positive — no speedup floors in smoke
         # mode, where the inputs are too small for stable ratios.
         for section, key in (
-            ("distance", "naive_s"),
             ("distance", "vectorized_s"),
             ("mds", "smacof_s"),
             ("intern", "fresh_s"),

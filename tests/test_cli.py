@@ -251,7 +251,7 @@ class TestObs:
         assert main(["obs", "report", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "Bench sections" in out
-        for section in ("distance_naive", "distance_vectorized", "mds_smacof"):
+        for section in ("distance_vectorized", "mds_smacof"):
             assert section in out
         assert "Analysis stages" in out  # instrumented stages fired too
 

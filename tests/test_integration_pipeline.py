@@ -8,9 +8,10 @@ from datetime import date
 
 import pytest
 
-from repro.analysis import hygiene_row, jaccard_distance
+from repro.analysis import hygiene_row
 from repro.collection import publish_history, scrape_history
 from repro.store import Dataset, StoreHistory
+from tests.oracle import jaccard_distance
 
 
 @pytest.fixture(scope="module")
