@@ -404,12 +404,17 @@ class BinaryIndex:
         ]
 
     def _find_fingerprint(self, fingerprint: str) -> int | None:
-        """Binary search the sorted raw table (hex order == byte order)."""
+        """Binary search the sorted raw table (hex order == byte order).
+
+        Only the canonical lowercase hex form matches, as in every other
+        index: ``bytes.fromhex`` alone would also accept uppercase and
+        embedded whitespace.
+        """
         try:
             raw = bytes.fromhex(fingerprint)
         except ValueError:
             return None
-        if len(raw) != _FP_WIDTH:
+        if len(raw) != _FP_WIDTH or raw.hex() != fingerprint:
             return None
         lo, hi = 0, self._header.n_fingerprints
         while lo < hi:

@@ -1,37 +1,17 @@
-"""Performance-regression harness.
+"""The repository's bench suites, declared for :mod:`repro.bench.runner`.
 
-:mod:`repro.bench.perf` times the hot paths this repository promises to
-keep fast — vectorized distance matrices, SMACOF, interned certificate
-parsing, parallel collection — and serializes the measurements to
-``BENCH_ordination.json`` so future changes have a trajectory to not
-regress.  Reachable three ways: the ``repro-roots bench`` CLI
-subcommand, ``benchmarks/bench_perf.py`` under pytest-benchmark, and a
-tier-1 smoke test (``REPRO_BENCH_SMOKE=1``) that keeps the harness from
-rotting.
+Each suite module holds its measuring code and one
+:class:`~repro.bench.runner.Suite` declaration (``SUITE``): a name, its
+fixed ``BENCH_*.json`` file, a ``run(dataset, smoke)`` callable and its
+floors.  :data:`SUITES` maps every name to its declaration; run them
+with ``repro-roots bench [SUITE ...] [--smoke]``.
 """
 
-from repro.bench.archive import ArchiveSuite, run_archive_suite
-from repro.bench.ingest import IngestSuite, run_ingest_suite
-from repro.bench.perf import PerfSuite, is_smoke_mode, run_perf_suite
-from repro.bench.robustness import RobustnessSuite, run_robustness_suite
-from repro.bench.scale import ScaleSuite, run_scale_suite
-from repro.bench.scenario import ScenarioSuite, run_scenario_suite
-from repro.bench.serving import ServingSuite, run_serving_suite
+from repro.bench import archive, ingest, ordination, robustness, scale, scenario, serving
 
-__all__ = [
-    "ArchiveSuite",
-    "IngestSuite",
-    "PerfSuite",
-    "RobustnessSuite",
-    "ScaleSuite",
-    "ScenarioSuite",
-    "ServingSuite",
-    "is_smoke_mode",
-    "run_archive_suite",
-    "run_ingest_suite",
-    "run_perf_suite",
-    "run_robustness_suite",
-    "run_scale_suite",
-    "run_scenario_suite",
-    "run_serving_suite",
-]
+SUITES = {
+    module.SUITE.name: module.SUITE
+    for module in (archive, ingest, ordination, robustness, scale, scenario, serving)
+}
+
+__all__ = ["SUITES"]

@@ -1,4 +1,4 @@
-"""Archive ingest/read benchmarks — the numbers behind ``BENCH_archive.json``.
+"""The ``archive`` suite — ingest/read numbers behind ``BENCH_archive.json``.
 
 The archive's reason to exist is replacing full-corpus rebuilds with
 indexed disk reads, so the suite times both sides of that trade:
@@ -14,84 +14,31 @@ indexed disk reads, so the suite times both sides of that trade:
   check against the live dataset.
 - **scrape_analyze**: the path the archive replaces — publish + scrape
   every provider and compute the distance matrix from scratch.  The
-  committed floor (``benchmarks/bench_perf.py``) demands the warm query
-  batch beat this by ≥ 10x.
+  warm query batch must beat this by ≥ 10x.
 - **distance**: the archive-backed distance matrix vs. the live one
   (must agree element-wise) and what it costs from manifests alone.
 - **verify**: the full integrity pass, which must report a healthy
   archive.
-
-Like :mod:`repro.bench.perf`, wall clock is the measurand here, and
-``REPRO_BENCH_SMOKE=1`` shrinks everything to ride inside tier-1.
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.jaccard import collect_snapshots, distance_matrix
 from repro.archive import Archive, ArchiveQuery, ingest_dataset, verify_archive
-from repro.bench.perf import _timed, is_smoke_mode
+from repro.bench.runner import Floor, Suite, smoke_dataset, timed
 from repro.collection.publish import publish_history
 from repro.collection.scrape import scrape_history
-from repro.store.history import Dataset, StoreHistory
+from repro.store.history import Dataset
 
-#: Smoke trims: providers kept, snapshots per provider, queries issued.
-SMOKE_PROVIDERS = 2
-SMOKE_SNAPSHOTS_PER_PROVIDER = 6
 #: How many (fingerprint, date) probes the query batch issues.
 QUERY_BATCH = 16
-
-
-@dataclass(frozen=True)
-class ArchiveSuite:
-    """One run of the archive harness: results plus output location."""
-
-    results: dict
-    output_path: Path | None
-
-    def summary_lines(self) -> list[str]:
-        r = self.results
-        return [
-            f"mode                : {r['mode']} ({r['snapshots']} snapshots, "
-            f"{r['providers']} providers)",
-            f"cold ingest         : {r['ingest']['cold_s']:.4f} s "
-            f"({r['ingest']['objects_written']} objects, "
-            f"{r['ingest']['manifests_written']} manifests)",
-            f"re-ingest           : {r['ingest']['reingest_s']:.4f} s "
-            f"(idempotent={r['ingest']['idempotent']})",
-            f"query cold          : {r['query']['cold_s']:.4f} s "
-            f"({r['query']['batch']} point-in-time lookups)",
-            f"query warm          : {r['query']['warm_s']:.6f} s "
-            f"({r['query']['per_query_us']:.0f} us/query, "
-            f"{r['query']['warm_speedup']:.1f}x over cold)",
-            f"scrape+analyze      : {r['scrape_analyze']['total_s']:.4f} s "
-            f"(the path the archive replaces)",
-            f"warm query vs scrape: {r['query']['speedup_vs_scrape']:.0f}x",
-            f"reconstruct cold    : {r['reconstruct']['cold_s']:.4f} s "
-            f"({r['reconstruct']['snapshots']} snapshots, "
-            f"identical={r['reconstruct']['identical']})",
-            f"reconstruct warm    : {r['reconstruct']['warm_s']:.4f} s "
-            f"({r['reconstruct']['warm_speedup']:.1f}x)",
-            f"archive distance    : {r['distance']['archive_s']:.4f} s "
-            f"(max |diff| vs live {r['distance']['max_abs_diff']:.2e})",
-            f"verify              : {r['verify']['verify_s']:.4f} s "
-            f"(ok={r['verify']['ok']})",
-        ]
-
-
-def _smoke_dataset(dataset: Dataset) -> Dataset:
-    """A tiny sub-corpus: the first providers, a few snapshots each."""
-    trimmed = Dataset()
-    for provider in dataset.providers[:SMOKE_PROVIDERS]:
-        snapshots = list(dataset[provider].snapshots)[:SMOKE_SNAPSHOTS_PER_PROVIDER]
-        trimmed.add_history(StoreHistory(provider, snapshots=snapshots))
-    return trimmed
+#: Warm query rounds (best-of); one warm batch is microseconds.
+WARM_ROUNDS = 3
 
 
 def _query_batch(query: ArchiveQuery, size: int) -> list[tuple[str, object]]:
@@ -110,24 +57,11 @@ def _query_batch(query: ArchiveQuery, size: int) -> list[tuple[str, object]]:
     return probes
 
 
-def _bench_ingest(archive_root: Path, dataset: Dataset, *, rounds: int) -> dict:
-    # Cold ingest must start from nothing each round: use per-round dirs.
-    counter = iter(range(1_000_000))
-
-    def cold():
-        target = Archive(archive_root / f"cold-{next(counter)}", create=True)
-        return target, ingest_dataset(target, dataset)
-
-    cold_s, (archive, report) = _timed(
-        cold, rounds=rounds, suite="archive", section="ingest_cold"
-    )
+def _bench_ingest(archive_root: Path, dataset: Dataset) -> tuple[Archive, dict]:
+    archive = Archive(archive_root / "cold", create=True)
+    cold_s, report = timed(lambda: ingest_dataset(archive, dataset))
     hash_before = archive.catalog_hash()
-    reingest_s, reingest = _timed(
-        lambda: ingest_dataset(archive, dataset),
-        rounds=1,
-        suite="archive",
-        section="ingest_reingest",
-    )
+    reingest_s, reingest = timed(lambda: ingest_dataset(archive, dataset))
     idempotent = (
         reingest.objects_written == 0
         and reingest.manifests_written == 0
@@ -144,25 +78,18 @@ def _bench_ingest(archive_root: Path, dataset: Dataset, *, rounds: int) -> dict:
     }
 
 
-def _bench_query(archive: Archive, *, rounds: int) -> dict:
+def _bench_query(archive: Archive) -> tuple[ArchiveQuery, dict]:
     probes = _query_batch(ArchiveQuery(archive), QUERY_BATCH)
 
     def run(query: ArchiveQuery):
         return [query.trusted_on(fp, when) for fp, when in probes]
 
     # Cold: a fresh engine per round — index load plus first-touch I/O.
-    cold_s, _ = _timed(
-        lambda: run(ArchiveQuery(archive)),
-        rounds=rounds,
-        suite="archive",
-        section="query_cold",
-    )
+    cold_s, _ = timed(lambda: run(ArchiveQuery(archive)))
     # Warm: one engine, caches populated by a priming pass.
     engine = ArchiveQuery(archive)
     run(engine)
-    warm_s, observations = _timed(
-        lambda: run(engine), rounds=max(rounds, 3), suite="archive", section="query_warm"
-    )
+    warm_s, observations = timed(lambda: run(engine), rounds=WARM_ROUNDS)
     return engine, {
         "batch": len(probes),
         "cold_s": cold_s,
@@ -173,7 +100,7 @@ def _bench_query(archive: Archive, *, rounds: int) -> dict:
     }
 
 
-def _bench_scrape_analyze(dataset: Dataset, *, rounds: int) -> dict:
+def _bench_scrape_analyze(dataset: Dataset) -> dict:
     """The full no-archive pipeline: re-scrape everything, then analyze."""
 
     def run():
@@ -184,25 +111,18 @@ def _bench_scrape_analyze(dataset: Dataset, *, rounds: int) -> dict:
             )
         return distance_matrix(collect_snapshots(collected))
 
-    total_s, _ = _timed(run, rounds=rounds, suite="archive", section="scrape_analyze")
+    total_s, _ = timed(run)
     return {"total_s": total_s}
 
 
-def _bench_reconstruct(archive: Archive, dataset: Dataset, *, rounds: int) -> dict:
+def _bench_reconstruct(archive: Archive, dataset: Dataset) -> dict:
     def run(query: ArchiveQuery) -> Dataset:
         return query.dataset()
 
-    cold_s, _ = _timed(
-        lambda: run(ArchiveQuery(archive)),
-        rounds=rounds,
-        suite="archive",
-        section="reconstruct_cold",
-    )
+    cold_s, _ = timed(lambda: run(ArchiveQuery(archive)))
     engine = ArchiveQuery(archive)
     run(engine)
-    warm_s, rebuilt = _timed(
-        lambda: run(engine), rounds=rounds, suite="archive", section="reconstruct_warm"
-    )
+    warm_s, rebuilt = timed(lambda: run(engine))
     identical = all(
         rebuilt[provider].snapshots == dataset[provider].snapshots
         for provider in dataset.providers
@@ -216,16 +136,9 @@ def _bench_reconstruct(archive: Archive, dataset: Dataset, *, rounds: int) -> di
     }
 
 
-def _bench_distance(
-    engine: ArchiveQuery, dataset: Dataset, *, rounds: int
-) -> dict:
+def _bench_distance(engine: ArchiveQuery, dataset: Dataset) -> dict:
     live = distance_matrix(collect_snapshots(dataset))
-    archive_s, archived = _timed(
-        lambda: engine.distance_matrix(),
-        rounds=rounds,
-        suite="archive",
-        section="distance_archive",
-    )
+    archive_s, archived = timed(engine.distance_matrix)
     return {
         "archive_s": archive_s,
         "max_abs_diff": float(np.abs(archived.matrix - live.matrix).max()),
@@ -234,9 +147,7 @@ def _bench_distance(
 
 
 def _bench_verify(archive: Archive) -> dict:
-    verify_s, report = _timed(
-        lambda: verify_archive(archive), rounds=1, suite="archive", section="verify"
-    )
+    verify_s, report = timed(lambda: verify_archive(archive))
     return {
         "verify_s": verify_s,
         "ok": report.ok,
@@ -245,49 +156,42 @@ def _bench_verify(archive: Archive) -> dict:
     }
 
 
-def run_archive_suite(
-    dataset: Dataset | None = None,
-    *,
-    smoke: bool | None = None,
-    rounds: int | None = None,
-    output: Path | str | None = None,
-) -> ArchiveSuite:
-    """Run every archive section and optionally write ``BENCH_archive.json``."""
-    if smoke is None:
-        smoke = is_smoke_mode()
-    if rounds is None:
-        rounds = 1
-    if dataset is None:
-        from repro.simulation import default_corpus
-
-        dataset = default_corpus().dataset
+def run(dataset: Dataset, smoke: bool) -> dict:
     if smoke:
-        dataset = _smoke_dataset(dataset)
-
+        dataset = smoke_dataset(dataset)
     with tempfile.TemporaryDirectory(prefix="repro-archive-bench-") as tmp:
-        root = Path(tmp)
-        archive, ingest = _bench_ingest(root, dataset, rounds=rounds)
-        engine, query = _bench_query(archive, rounds=rounds)
-        scrape_analyze = _bench_scrape_analyze(dataset, rounds=rounds)
+        archive, ingest = _bench_ingest(Path(tmp), dataset)
+        engine, query = _bench_query(archive)
+        scrape_analyze = _bench_scrape_analyze(dataset)
         query["speedup_vs_scrape"] = (
             scrape_analyze["total_s"] / query["warm_s"]
             if query["warm_s"] > 0
             else float("inf")
         )
-        results = {
-            "schema": 1,
-            "mode": "smoke" if smoke else "full",
+        return {
             "snapshots": dataset.total_snapshots(),
             "providers": len(dataset.providers),
             "ingest": ingest,
             "query": query,
             "scrape_analyze": scrape_analyze,
-            "reconstruct": _bench_reconstruct(archive, dataset, rounds=rounds),
-            "distance": _bench_distance(engine, dataset, rounds=rounds),
+            "reconstruct": _bench_reconstruct(archive, dataset),
+            "distance": _bench_distance(engine, dataset),
             "verify": _bench_verify(archive),
         }
 
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return ArchiveSuite(results=results, output_path=output_path)
+
+SUITE = Suite(
+    name="archive",
+    output="BENCH_archive.json",
+    run=run,
+    floors=(
+        Floor("ingest.idempotent", always=True),
+        Floor("reconstruct.identical", always=True),
+        Floor("distance.max_abs_diff", "<=", 1e-12, always=True),
+        Floor("distance.labels_match", always=True),
+        Floor("verify.ok", always=True),
+        Floor("query.speedup_vs_scrape", ">=", 10.0),
+        Floor("query.warm_speedup", ">=", 2.0),
+        Floor("reconstruct.warm_speedup", ">=", 2.0),
+    ),
+)

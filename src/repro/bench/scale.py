@@ -1,13 +1,12 @@
-"""Scale benchmarks — the numbers behind ``BENCH_scale.json``.
+"""The ``scale`` suite — population-scale numbers behind ``BENCH_scale.json``.
 
-ROADMAP item 1: grow the corpus 10–100× (synthetic derivative
-populations) and keep the analysis substrate alive out-of-core.  This
-suite measures — and ``benchmarks/bench_scale.py`` floors — the three
-claims that make that real:
+Grow the corpus 10–100× (synthetic derivative populations) and keep
+the analysis substrate alive out-of-core.  The suite measures the
+three claims that make that real:
 
 - **population + ingest**: synthesize a ≥5k-snapshot derivative
-  population deterministically (no new certificate minting) and ingest
-  it into a fresh archive end-to-end.
+  population deterministically from the default corpus (no new
+  certificate minting) and ingest it into a fresh archive end-to-end.
 - **memory**: at population scale, the bool incidence matrix's bytes
   and build peak, and the tiled full-matrix kernel's peak allocation
   beyond its (n, n) output, which must stay at most an eighth of the
@@ -18,17 +17,13 @@ claims that make that real:
   staying within stress tolerance of it on the full-matrix Kruskal
   stress-1.
 
-Wall clock is the measurand (this is the bench layer, exempt from the
-no-wall-clock rule) and ``REPRO_BENCH_SMOKE=1`` shrinks everything to
-ride inside tier-1.
-"""
+Smoke mode synthesizes a 3-provider tail without the base corpus and
+runs the analysis sections on a trimmed seeded corpus."""
 
 from __future__ import annotations
 
-import json
 import tempfile
 import tracemalloc
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -42,7 +37,7 @@ from repro.analysis.incidence import (
 from repro.analysis.mds import kruskal_stress, landmark_mds, smacof
 from repro.archive import Archive, ArchiveQuery, ingest_dataset
 from repro.archive.io import set_fsync
-from repro.bench.perf import _timed, is_smoke_mode
+from repro.bench.runner import Floor, Suite, smoke_dataset, timed
 from repro.simulation import (
     PopulationSpec,
     default_corpus,
@@ -66,42 +61,6 @@ SMOKE_LANDMARKS = 8
 SMOKE_MDS_ITERATIONS = 12
 
 
-@dataclass(frozen=True)
-class ScaleSuite:
-    """One run of the scale harness: results plus output location."""
-
-    results: dict
-    output_path: Path | None
-
-    def summary_lines(self) -> list[str]:
-        r = self.results
-        pop, ing = r["population"], r["ingest"]
-        mem, mds = r["memory"], r["landmark_mds"]
-        return [
-            f"mode                : {r['mode']}",
-            f"population          : {pop['synthesize_s']:.2f} s "
-            f"({pop['providers']} synthetic providers, "
-            f"{pop['total_snapshots']} snapshots total)",
-            f"ingest              : {ing['ingest_s']:.2f} s "
-            f"({ing['snapshots_added']} snapshots, "
-            f"{ing['manifests_written']} manifests, "
-            f"archived={ing['archived_snapshots']})",
-            f"bool incidence      : {mem['incidence_bytes'] / 1e6:.2f} MB "
-            f"({mem['snapshots']} x {mem['universe']}), build peak "
-            f"{mem['incidence_build_peak_bytes'] / 1e6:.1f} MB",
-            f"distance overhead   : {mem['distance_overhead_bytes'] / 1e6:.1f} MB "
-            f"beyond the {mem['distance_output_bytes'] / 1e6:.1f} MB output "
-            f"({mem['overhead_share']:.3f} of it, {mem['tile_rows']}-row tiles)",
-            f"full smacof         : {mds['full_s']:.2f} s "
-            f"({mds['points']} points, {mds['iterations']} iteration cap, "
-            f"stress1 {mds['full_stress1']:.4f})",
-            f"landmark mds        : {mds['landmark_s']:.2f} s "
-            f"({mds['landmarks']} landmarks, {mds['speedup']:.1f}x, "
-            f"stress1 {mds['landmark_stress1']:.4f}, "
-            f"excess {mds['stress1_excess']:+.4f})",
-        ]
-
-
 def _tracemalloc_peak(fn: Callable[[], object]) -> tuple[int, object]:
     """Peak bytes allocated (python-side) while running ``fn``."""
     tracemalloc.start()
@@ -115,14 +74,11 @@ def _tracemalloc_peak(fn: Callable[[], object]) -> tuple[int, object]:
 
 
 def _bench_population(
-    corpus, *, providers: int, rounds: int, include_base: bool = True
+    corpus, *, providers: int, include_base: bool
 ) -> tuple[Dataset, dict]:
     spec = PopulationSpec(providers=providers)
-    synthesize_s, dataset = _timed(
-        lambda: synthesize_population(corpus, spec, include_base=include_base),
-        rounds=rounds,
-        suite="scale",
-        section="population_synthesize",
+    synthesize_s, dataset = timed(
+        lambda: synthesize_population(corpus, spec, include_base=include_base)
     )
     return dataset, {
         "providers": providers,
@@ -139,12 +95,7 @@ def _bench_ingest(root: Path, dataset: Dataset) -> tuple[ArchiveQuery, dict]:
     archive = Archive(root / "scale-archive", create=True)
     previous = set_fsync(False)  # measure ingest work, not disk sync policy
     try:
-        ingest_s, report = _timed(
-            lambda: ingest_dataset(archive, dataset),
-            rounds=1,
-            suite="scale",
-            section="ingest",
-        )
+        ingest_s, report = timed(lambda: ingest_dataset(archive, dataset))
     finally:
         set_fsync(previous)
     query = ArchiveQuery(archive)
@@ -191,11 +142,8 @@ def _bench_landmark_mds(
     incidence = build_incidence(dataset.all_snapshots())
     full_matrix = jaccard_distances(incidence)
 
-    full_s, full_result = _timed(
-        lambda: smacof(full_matrix, dims=2, max_iterations=max_iterations),
-        rounds=1,
-        suite="scale",
-        section="mds_full",
+    full_s, full_result = timed(
+        lambda: smacof(full_matrix, dims=2, max_iterations=max_iterations)
     )
 
     def landmark_pipeline():
@@ -205,12 +153,7 @@ def _bench_landmark_mds(
             cross, picked, dims=2, max_iterations=max_iterations
         )
 
-    landmark_s, landmark_result = _timed(
-        lambda: landmark_pipeline(),
-        rounds=1,
-        suite="scale",
-        section="mds_landmark",
-    )
+    landmark_s, landmark_result = timed(landmark_pipeline)
     # Quality on equal footing: full-matrix Kruskal stress-1 of both
     # embeddings against the same dissimilarities.
     full_stress1 = kruskal_stress(full_matrix, full_result.embedding)
@@ -229,65 +172,47 @@ def _bench_landmark_mds(
     }
 
 
-def run_scale_suite(
-    *,
-    smoke: bool | None = None,
-    providers: int | None = None,
-    landmarks: int | None = None,
-    output: Path | str | None = None,
-) -> ScaleSuite:
-    """Run every section and optionally write ``BENCH_scale.json``.
-
-    ``smoke=None`` reads ``REPRO_BENCH_SMOKE``; smoke mode synthesizes
-    a 3-provider tail, runs the same end-to-end path (population →
-    ingest → memory → landmark MDS) on it, and leaves the
-    floor-checking to full mode.
-    """
-    if smoke is None:
-        smoke = is_smoke_mode()
-    if providers is None:
-        providers = SMOKE_PROVIDERS if smoke else FULL_PROVIDERS
-    if landmarks is None:
-        landmarks = SMOKE_LANDMARKS if smoke else FULL_LANDMARKS
-    max_iterations = SMOKE_MDS_ITERATIONS if smoke else FULL_MDS_ITERATIONS
-    rounds = 1
-
+def run(dataset: Dataset, smoke: bool) -> dict:
+    """``dataset`` is unused: the population grows from the default corpus."""
     corpus = default_corpus()
     dataset, population = _bench_population(
         # Smoke skips the 649 base snapshots so the ingest stays cheap
         # enough to ride inside tier-1; full mode ingests base + tail.
-        corpus, providers=providers, rounds=rounds, include_base=not smoke
+        corpus,
+        providers=SMOKE_PROVIDERS if smoke else FULL_PROVIDERS,
+        include_base=not smoke,
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-scale-") as tmp:
         _, ingest = _bench_ingest(Path(tmp), dataset)
 
-    if smoke:
-        # A trimmed seeded corpus keeps the smoke analysis sections cheap.
-        from repro.store.history import StoreHistory
-
-        mds_dataset = Dataset()
-        for provider in corpus.dataset.providers[:3]:
-            mds_dataset.add_history(
-                StoreHistory(
-                    provider, snapshots=list(corpus.dataset[provider].snapshots)[:8]
-                )
-            )
-    else:
-        mds_dataset = dataset
-
-    results = {
-        "schema": 1,
-        "mode": "smoke" if smoke else "full",
+    # A trimmed seeded corpus keeps the smoke analysis sections cheap.
+    mds_dataset = (
+        smoke_dataset(corpus.dataset, providers=3, snapshots=8) if smoke else dataset
+    )
+    return {
         "target_snapshots": 0 if smoke else FULL_TARGET_SNAPSHOTS,
         "population": population,
         "ingest": ingest,
         "memory": _bench_memory(mds_dataset),
         "landmark_mds": _bench_landmark_mds(
-            mds_dataset, landmarks=landmarks, max_iterations=max_iterations
+            mds_dataset,
+            landmarks=SMOKE_LANDMARKS if smoke else FULL_LANDMARKS,
+            max_iterations=SMOKE_MDS_ITERATIONS if smoke else FULL_MDS_ITERATIONS,
         ),
     }
 
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return ScaleSuite(results=results, output_path=output_path)
+
+SUITE = Suite(
+    name="scale",
+    output="BENCH_scale.json",
+    run=run,
+    floors=(
+        Floor("ingest.round_trip_complete", always=True),
+        Floor("landmark_mds.landmark_stress1", "<", 1.0, always=True),
+        Floor("population.total_snapshots", ">=", FULL_TARGET_SNAPSHOTS),
+        Floor("ingest.archived_snapshots", ">=", FULL_TARGET_SNAPSHOTS),
+        Floor("memory.overhead_share", "<=", 1 / 8),
+        Floor("landmark_mds.speedup", ">=", 10.0),
+        Floor("landmark_mds.stress1_excess", "<=", 0.15),
+    ),
+)

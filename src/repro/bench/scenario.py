@@ -1,4 +1,4 @@
-"""Scenario-engine benchmarks — the numbers behind ``BENCH_scenario.json``.
+"""The ``scenario`` suite — sweep numbers behind ``BENCH_scenario.json``.
 
 The scenario engine exists to make ecosystem what-ifs cheap to sweep:
 a (provider, date) grid of bulk chain validations, parallelized across
@@ -8,41 +8,33 @@ measures both levers against the Symantec phased-removal scenario:
 - **serial vs parallel**: the same grid swept with ``workers=1`` and
   ``workers=4``.  Snapshot access is given a fixed simulated fetch
   latency per cell (the same latent-origin device as the collection
-  benches — this container has one CPU, so the I/O-bound shape is what
-  a pool can actually overlap), and the committed floor demands ≥ 2x.
+  benches — the I/O-bound shape is what a pool can actually overlap),
+  and the pool must win by ≥ 2x.
 - **cold vs warm**: the same sweep against an empty result cache and
   again once every cell is cached.  Warm cells skip validation *and*
-  the simulated fetch, so the committed floor demands ≥ 5x.
+  the simulated fetch, so the warm sweep must win by ≥ 5x.
 
-Correctness gates run in every mode: serial, parallel, cold, and warm
+Correctness gates hold in every mode: serial, parallel, cold, and warm
 sweeps must produce byte-identical canonical run JSON, the warm sweep
 must be 100% cache hits, and the scenario must actually bite (nonzero
-population impact after the final removal batch).
-
-``REPRO_BENCH_SMOKE=1`` shrinks the grid, workload, and latency to
-ride inside tier-1.
-"""
+population impact after the final removal batch)."""
 
 from __future__ import annotations
 
-import json
 import tempfile
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 from repro.archive.manifest import Archive
 from repro.archive.ingest import ingest_dataset
-from repro.bench.perf import _timed, is_smoke_mode
+from repro.bench.runner import Floor, Suite, timed
 from repro.scenario.engine import ScenarioEngine
 from repro.scenario.impact import population_impact
 from repro.scenario.model import ChainSpec, Scenario
 from repro.scenario.report import run_to_json
+from repro.simulation import default_corpus
 from repro.simulation.incidents import symantec_phased_scenario
-
-#: Floors the committed benchmark enforces in full mode.
-MIN_PARALLEL_SPEEDUP = 2.0
-MIN_WARM_SPEEDUP = 5.0
+from repro.store.history import Dataset
 
 #: Pool size of the parallel side (the floor is defined at 4 workers).
 PARALLEL_WORKERS = 4
@@ -68,38 +60,6 @@ _DATES_FULL = (
     date(2021, 1, 15),
 )
 _DATES_SMOKE = (date(2020, 5, 1), date(2020, 6, 1), date(2021, 1, 15))
-
-
-@dataclass(frozen=True)
-class ScenarioSuite:
-    """One run of the scenario-engine harness."""
-
-    results: dict
-    output_path: Path | None
-
-    def summary_lines(self) -> list[str]:
-        r = self.results
-        return [
-            f"mode            : {r['mode']} ({r['grid']['cells']} cells, "
-            f"{r['grid']['chains']} chains, fetch latency "
-            f"{r['grid']['fetch_latency_s'] * 1000:.0f} ms)",
-            f"serial sweep    : {r['serial']['total_s']:.4f} s",
-            f"parallel sweep  : {r['parallel']['total_s']:.4f} s "
-            f"({r['parallel']['workers']} workers)",
-            f"parallel speedup: {r['parallel']['speedup']:.2f}x "
-            f"(floor {r['floor']['min_parallel_speedup']:.0f}x, "
-            f"met={r['floor']['parallel_met']})",
-            f"cold sweep      : {r['cold']['total_s']:.4f} s",
-            f"warm sweep      : {r['warm']['total_s']:.4f} s "
-            f"({r['warm']['cache_hits']} cache hits)",
-            f"warm speedup    : {r['warm']['speedup']:.2f}x "
-            f"(floor {r['floor']['min_warm_speedup']:.0f}x, "
-            f"met={r['floor']['warm_met']})",
-            f"determinism     : serial==parallel="
-            f"{r['correctness']['serial_parallel_identical']}, cold==warm="
-            f"{r['correctness']['cold_warm_identical']}, "
-            f"impact_nonzero={r['correctness']['impact_nonzero']}",
-        ]
 
 
 def _bench_scenario(smoke: bool) -> Scenario:
@@ -131,23 +91,9 @@ def _bench_scenario(smoke: bool) -> Scenario:
     return scenario
 
 
-def run_scenario_suite(
-    corpus=None,
-    *,
-    smoke: bool | None = None,
-    rounds: int | None = None,
-    output: Path | str | None = None,
-) -> ScenarioSuite:
-    """Run all four sweeps and optionally write ``BENCH_scenario.json``."""
-    if smoke is None:
-        smoke = is_smoke_mode()
-    if rounds is None:
-        rounds = 1
-    if corpus is None:
-        from repro.simulation import default_corpus
-
-        corpus = default_corpus()
-
+def run(dataset: Dataset, smoke: bool) -> dict:
+    """``dataset`` is unused: the workload mints chains from the default corpus."""
+    corpus = default_corpus()
     scenario = _bench_scenario(smoke)
     latency = FETCH_LATENCY_SMOKE_S if smoke else FETCH_LATENCY_FULL_S
 
@@ -166,21 +112,11 @@ def run_scenario_suite(
 
         serial_engine = engine(workers=1, use_cache=False)
         serial_engine.compile(scenario)  # warm the mint memo off the clock
-        serial_s, serial_run = _timed(
-            lambda: serial_engine.run(scenario),
-            rounds=rounds,
-            suite="scenario",
-            section="serial",
-        )
+        serial_s, serial_run = timed(lambda: serial_engine.run(scenario))
 
         parallel_engine = engine(workers=PARALLEL_WORKERS, use_cache=False)
         parallel_engine.compile(scenario)
-        parallel_s, parallel_run = _timed(
-            lambda: parallel_engine.run(scenario),
-            rounds=rounds,
-            suite="scenario",
-            section="parallel",
-        )
+        parallel_s, parallel_run = timed(lambda: parallel_engine.run(scenario))
 
         cached_engine = engine(workers=1, use_cache=True)
         cached_engine.compile(scenario)
@@ -189,15 +125,8 @@ def run_scenario_suite(
             cached_engine.cache.clear()
             return cached_engine.run(scenario)
 
-        cold_s, cold_run = _timed(
-            cold_sweep, rounds=rounds, suite="scenario", section="cold"
-        )
-        warm_s, warm_run = _timed(
-            lambda: cached_engine.run(scenario),
-            rounds=rounds,
-            suite="scenario",
-            section="warm",
-        )
+        cold_s, cold_run = timed(cold_sweep)
+        warm_s, warm_run = timed(lambda: cached_engine.run(scenario))
 
         serial_json = run_to_json(serial_run)
         impact = population_impact(serial_run)
@@ -212,11 +141,7 @@ def run_scenario_suite(
             "warm_all_hits": warm_run.stats.cache_hits == warm_run.stats.cells,
             "impact_nonzero": impact_nonzero,
         }
-        parallel_speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-        warm_speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-        results = {
-            "schema": 1,
-            "mode": "smoke" if smoke else "full",
+        return {
             "grid": {
                 "providers": list(serial_run.providers),
                 "dates": [d.isoformat() for d in serial_run.dates],
@@ -228,24 +153,29 @@ def run_scenario_suite(
             "parallel": {
                 "total_s": parallel_s,
                 "workers": PARALLEL_WORKERS,
-                "speedup": parallel_speedup,
+                "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
             },
             "cold": {"total_s": cold_s, "cache_misses": cold_run.stats.cache_misses},
             "warm": {
                 "total_s": warm_s,
                 "cache_hits": warm_run.stats.cache_hits,
-                "speedup": warm_speedup,
-            },
-            "floor": {
-                "min_parallel_speedup": MIN_PARALLEL_SPEEDUP,
-                "parallel_met": parallel_speedup >= MIN_PARALLEL_SPEEDUP,
-                "min_warm_speedup": MIN_WARM_SPEEDUP,
-                "warm_met": warm_speedup >= MIN_WARM_SPEEDUP,
+                "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
             },
             "correctness": correctness,
         }
 
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return ScenarioSuite(results=results, output_path=output_path)
+
+SUITE = Suite(
+    name="scenario",
+    output="BENCH_scenario.json",
+    run=run,
+    floors=(
+        Floor("correctness.serial_parallel_identical", always=True),
+        Floor("correctness.cold_warm_identical", always=True),
+        Floor("correctness.serial_cold_identical", always=True),
+        Floor("correctness.warm_all_hits", always=True),
+        Floor("correctness.impact_nonzero", always=True),
+        Floor("parallel.speedup", ">=", 2.0),
+        Floor("warm.speedup", ">=", 5.0),
+    ),
+)

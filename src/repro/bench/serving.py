@@ -1,91 +1,41 @@
-"""Serving-layer benchmarks — the numbers behind ``BENCH_serving.json``.
+"""The ``serving`` suite — the numbers behind ``BENCH_serving.json``.
 
 The serving layer exists for two measurable promises:
 
 - **cold start**: opening ``trust.bin`` is a header read + mmap, not
-  the full checksummed decode of the same file — the committed floor
-  demands ≥ 10x.
+  the full checksummed decode of the same file — it must win by ≥ 10x.
 - **serving overhead**: a batched daemon round trip must stay within
   5x of the same warm in-process ``trusted_on_many`` batch — the
   price of HTTP + JSON + process hop, amortized by batching.
 
 The suite measures both, plus the daemon under a concurrency ladder
-(p50/p99 per level, ≥ 3 levels), startup time, and per-worker RSS
-(via ``/proc``, ``None`` off-Linux).  It only measures: the
+(p50/p99 per level, ≥ 3 levels), startup time, and per-worker PSS
+(proportional set size via ``/proc``, ``None`` where it is absent), so
+the mmap'd ``trust.bin`` and fork-shared pages are split across the
+workers instead of counted once per worker.  It only measures: the
 equivalence of the mmap-backed query surface with a manifest scan is
-gated in ``tests/test_serving.py``.
-
-Like the sibling suites, wall clock is the measurand here and
-``REPRO_BENCH_SMOKE=1`` shrinks the corpus and ladder to ride inside
-tier-1.
-"""
+gated in ``tests/test_serving.py``."""
 
 from __future__ import annotations
 
-import json
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.archive import Archive, ingest_dataset
 from repro.archive.binindex import read_binary_index, read_verified_index
 from repro.archive.query import ArchiveQuery
-from repro.bench.archive import _smoke_dataset
-from repro.bench.perf import _timed, is_smoke_mode
-from repro.serving import ServingClient, ServingConfig, ServingDaemon, worker_rss_bytes
+from repro.bench.runner import Floor, Suite, smoke_dataset, timed
+from repro.serving import ServingClient, ServingConfig, ServingDaemon, worker_pss_bytes
 from repro.store.history import Dataset
 
-#: Committed floors (asserted by ``benchmarks/bench_serving.py``).
-MIN_COLD_SPEEDUP = 10.0
-MAX_DAEMON_OVERHEAD = 5.0
-
-#: The concurrency ladder (≥ 3 levels, per the acceptance criteria).
+#: The concurrency ladder (≥ 3 levels).
 CONCURRENCY_LEVELS = (1, 2, 4)
-
-
-@dataclass(frozen=True)
-class ServingSuite:
-    """One run of the serving harness."""
-
-    results: dict
-    output_path: Path | None
-
-    def summary_lines(self) -> list[str]:
-        r = self.results
-        lines = [
-            f"mode            : {r['mode']} ({r['providers']} providers, "
-            f"{r['fingerprints']} fingerprints)",
-            f"cold start      : full decode {r['cold_start']['decode_s'] * 1e3:.2f} ms, "
-            f"header open {r['cold_start']['binary_s'] * 1e3:.3f} ms "
-            f"({r['cold_start']['speedup']:.0f}x, floor "
-            f"{r['cold_start']['floor']['min_speedup']:.0f}x, "
-            f"met={r['cold_start']['floor']['met']})",
-            f"warm in-process : {r['warm']['per_fp_us']:.2f} us/fingerprint "
-            f"(batch {r['warm']['batch']})",
-            f"daemon          : {r['daemon']['workers']} workers, "
-            f"startup {r['daemon']['startup_s'] * 1e3:.0f} ms, "
-            f"rss/worker {_fmt_rss(r['daemon']['rss_bytes_per_worker'])}",
-        ]
-        for level in r["daemon"]["levels"]:
-            lines.append(
-                f"  c={level['concurrency']:<2d}          : "
-                f"p50 {level['p50_ms']:.2f} ms, p99 {level['p99_ms']:.2f} ms, "
-                f"{level['throughput_rps']:.0f} req/s "
-                f"({level['per_fp_us']:.2f} us/fingerprint)"
-            )
-        overhead = r["daemon"]["overhead"]
-        lines.append(
-            f"daemon overhead : {overhead['ratio']:.2f}x warm in-process "
-            f"(floor {overhead['floor']['max_ratio']:.0f}x, "
-            f"met={overhead['floor']['met']})"
-        )
-        return lines
-
-
-def _fmt_rss(value) -> str:
-    return f"{value / 1e6:.1f} MB" if value else "n/a"
+#: Pre-forked daemon workers for the load section.
+WORKERS = 2
+#: Best-of rounds for each cold-start side.
+COLD_ROUNDS = 5
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -107,14 +57,11 @@ def _probe_space(query: ArchiveQuery) -> tuple[list[str], list]:
     return fingerprints, dates
 
 
-def _bench_cold_start(archive: Archive, *, rounds: int) -> dict:
-    """Full checksummed decode vs. header open of ``trust.bin``, best of ``rounds`` each."""
+def _bench_cold_start(archive: Archive) -> dict:
+    """Full checksummed decode vs. header open of ``trust.bin``."""
     catalog_hash = archive.catalog_hash()
-    decode_s, decoded = _timed(
-        lambda: read_verified_index(archive, catalog_hash),
-        rounds=rounds,
-        suite="serving",
-        section="cold_decode",
+    decode_s, decoded = timed(
+        lambda: read_verified_index(archive, catalog_hash), rounds=COLD_ROUNDS
     )
     assert decoded is not None, "trust.bin must be fresh and intact after ingest"
 
@@ -124,15 +71,11 @@ def _bench_cold_start(archive: Archive, *, rounds: int) -> dict:
         index.close()
         return index
 
-    binary_s, _ = _timed(
-        open_binary, rounds=rounds, suite="serving", section="cold_binary"
-    )
-    speedup = decode_s / binary_s if binary_s > 0 else float("inf")
+    binary_s, _ = timed(open_binary, rounds=COLD_ROUNDS)
     return {
         "decode_s": decode_s,
         "binary_s": binary_s,
-        "speedup": speedup,
-        "floor": {"min_speedup": MIN_COLD_SPEEDUP, "met": speedup >= MIN_COLD_SPEEDUP},
+        "speedup": decode_s / binary_s if binary_s > 0 else float("inf"),
     }
 
 
@@ -205,17 +148,16 @@ def _bench_daemon(
     batch: list[str],
     dates,
     *,
-    workers: int,
     per_thread: int,
     warm_batch_p50_s: float,
 ) -> dict:
-    daemon = ServingDaemon(ServingConfig(root=root, workers=workers))
+    daemon = ServingDaemon(ServingConfig(root=root, workers=WORKERS))
     start = time.perf_counter()
     host, port = daemon.start()
     startup_s = time.perf_counter() - start
     try:
-        rss = [worker_rss_bytes(pid) for pid in daemon.pids]
-        rss_known = [r for r in rss if r is not None]
+        pss = [worker_pss_bytes(pid) for pid in daemon.pids]
+        pss_known = [value for value in pss if value is not None]
         payloads = [
             [
                 {
@@ -247,40 +189,17 @@ def _bench_daemon(
         else float("inf")
     )
     return {
-        "workers": workers,
+        "workers": WORKERS,
         "startup_s": startup_s,
-        "rss_bytes_per_worker": max(rss_known) if rss_known else None,
+        "pss_bytes_per_worker": max(pss_known) if pss_known else None,
         "levels": levels,
-        "overhead": {
-            "ratio": ratio,
-            "floor": {
-                "max_ratio": MAX_DAEMON_OVERHEAD,
-                "met": ratio <= MAX_DAEMON_OVERHEAD,
-            },
-        },
+        "overhead": {"ratio": ratio},
     }
 
 
-def run_serving_suite(
-    dataset: Dataset | None = None,
-    *,
-    smoke: bool | None = None,
-    rounds: int | None = None,
-    workers: int = 2,
-    output: Path | str | None = None,
-) -> ServingSuite:
-    """Run every section and optionally write ``BENCH_serving.json``."""
-    if smoke is None:
-        smoke = is_smoke_mode()
-    if rounds is None:
-        rounds = 1 if smoke else 5
-    if dataset is None:
-        from repro.simulation import default_corpus
-
-        dataset = default_corpus().dataset
+def run(dataset: Dataset, smoke: bool) -> dict:
     if smoke:
-        dataset = _smoke_dataset(dataset)
-
+        dataset = smoke_dataset(dataset)
     with tempfile.TemporaryDirectory(prefix="repro-serving-bench-") as tmp:
         root = Path(tmp) / "archive"
         archive = Archive(root, create=True)
@@ -290,22 +209,16 @@ def run_serving_suite(
         fingerprints, dates = _probe_space(probe_engine)
         batch = fingerprints[: min(len(fingerprints), 32 if smoke else 256)]
 
-        cold = _bench_cold_start(archive, rounds=max(rounds, 3))
-        warm = _bench_warm(
-            archive, batch, dates, iters=16 if smoke else 128
-        )
+        cold = _bench_cold_start(archive)
+        warm = _bench_warm(archive, batch, dates, iters=16 if smoke else 128)
         daemon = _bench_daemon(
             root,
             batch,
             dates,
-            workers=workers,
             per_thread=8 if smoke else 64,
             warm_batch_p50_s=warm["p50_s"],
         )
-
-        results = {
-            "schema": 1,
-            "mode": "smoke" if smoke else "full",
+        return {
             "providers": len(probe_engine.providers),
             "snapshots": sum(
                 len(timeline) for timeline in probe_engine.index.timelines.values()
@@ -316,7 +229,14 @@ def run_serving_suite(
             "daemon": daemon,
         }
 
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return ServingSuite(results=results, output_path=output_path)
+
+SUITE = Suite(
+    name="serving",
+    output="BENCH_serving.json",
+    run=run,
+    floors=(
+        Floor("daemon.levels.2.requests", ">=", 1, always=True),
+        Floor("cold_start.speedup", ">=", 10.0),
+        Floor("daemon.overhead.ratio", "<=", 5.0),
+    ),
+)

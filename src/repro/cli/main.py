@@ -18,14 +18,11 @@ Subcommands map one-to-one onto the paper's experiments::
     repro-roots collect              # end-to-end collection (+ fault injection)
     repro-roots watch DIR            # continuous ingestion: checkpointed watch loop
     repro-roots serve DIR            # batched trust-query daemon over the archive
-    repro-roots bench                # perf-regression harness (BENCH_ordination.json)
-    repro-roots bench-scale          # population-scale harness (BENCH_scale.json):
-                                     #   synthetic corpus, distance-kernel
-                                     #   memory, landmark MDS
+    repro-roots bench [SUITE ...]    # bench suites -> BENCH_<suite>.json, floors
+                                     #   checked (--smoke: tiny inputs, gates only)
     repro-roots archive ...          # on-disk archive: ingest|query|diff|index-dump|
-                                     #   verify|gc|repair|bench|bench-ingest|
-                                     #   bench-robustness|bench-serving
-    repro-roots scenario ...         # what-if engine: run|diff|report|bench over an
+                                     #   verify|gc|repair
+    repro-roots scenario ...         # what-if engine: run|diff|report over an
                                      #   archive (distrust/remove/revoke edits ->
                                      #   population impact)
     repro-roots obs report FILE      # render a --metrics-out telemetry dump
@@ -294,46 +291,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench = sub.add_parser(
         "bench",
-        help="time the hot paths (distance matrix, MDS, interning, scraping) "
-        "and write a perf-regression baseline",
+        help="run bench suites, write BENCH_<suite>.json and check their floors "
+        "(exit 1 when one breaks)",
     )
     bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_ordination.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_ordination.json)",
+        "suites", nargs="*", metavar="SUITE",
+        help="suites to run (default: all of them)",
     )
     bench.add_argument(
         "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
+        help="tiny inputs, correctness gates only (also via REPRO_BENCH_SMOKE=1)",
     )
     bench.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="thread-pool width for the parallel-scrape section",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
-    )
-    bench_scale = sub.add_parser(
-        "bench-scale",
-        help="population-scale benchmarks: synthesize + ingest a ≥5k-snapshot "
-        "corpus, incidence and distance-kernel memory, "
-        "landmark MDS vs full SMACOF (BENCH_scale.json)",
-    )
-    bench_scale.add_argument(
-        "--output", type=Path, default=Path("BENCH_scale.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_scale.json)",
-    )
-    bench_scale.add_argument(
-        "--smoke", action="store_true",
-        help="tiny population, cheap sections (also via REPRO_BENCH_SMOKE=1)",
-    )
-    bench_scale.add_argument(
-        "--providers", type=int, default=None, metavar="N",
-        help="synthetic-provider count override (default: 3 smoke / 260 full)",
-    )
-    bench_scale.add_argument(
-        "--landmarks", type=int, default=None, metavar="K",
-        help="landmark count for the MDS comparison (default: 8 smoke / 96 full)",
+        "--output-dir", type=Path, default=Path("."), metavar="DIR",
+        help="where BENCH_<suite>.json files are written (default: .)",
     )
     _add_archive_parser(sub)
     _add_scenario_parser(sub)
@@ -379,7 +350,7 @@ def _add_archive_parser(sub) -> None:
     archive = sub.add_parser(
         "archive",
         help="content-addressed on-disk archive: ingest, query, diff, index-dump, "
-        "verify, gc, repair, bench, bench-robustness, bench-serving",
+        "verify, gc, repair",
     )
     asub = archive.add_subparsers(dest="archive_command", required=True)
 
@@ -452,78 +423,6 @@ def _add_archive_parser(sub) -> None:
     repair.add_argument(
         "--force-unlock", action="store_true",
         help="break the writer lock even if its holder appears alive",
-    )
-
-    bench = asub.add_parser(
-        "bench", help="archive ingest/read benchmarks (BENCH_archive.json)"
-    )
-    bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_archive.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_archive.json)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
-    )
-
-    ingest_bench = asub.add_parser(
-        "bench-ingest",
-        help="incremental vs. full ingest benchmarks (BENCH_ingest.json)",
-    )
-    ingest_bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_ingest.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_ingest.json)",
-    )
-    ingest_bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    ingest_bench.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
-    )
-
-    serving_bench = asub.add_parser(
-        "bench-serving",
-        help="binary-index cold start + daemon latency benchmarks "
-        "(BENCH_serving.json)",
-    )
-    serving_bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_serving.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_serving.json)",
-    )
-    serving_bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    serving_bench.add_argument(
-        "--rounds", type=int, default=None, metavar="R",
-        help="rounds per cold-start measurement (best-of-R is reported)",
-    )
-    serving_bench.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="pre-forked daemon workers for the load section (default: 2)",
-    )
-
-    robustness = asub.add_parser(
-        "bench-robustness",
-        help="crash/recovery robustness benchmarks (BENCH_robustness.json)",
-    )
-    robustness.add_argument(
-        "--output", type=Path, default=Path("BENCH_robustness.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_robustness.json)",
-    )
-    robustness.add_argument(
-        "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    robustness.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
     )
 
 
@@ -615,24 +514,6 @@ def _add_scenario_parser(sub) -> None:
     report.add_argument(
         "--cells", action="store_true",
         help="also print the per-cell verdict table",
-    )
-
-    bench = ssub.add_parser(
-        "bench",
-        help="scenario-engine benchmarks: pool speedup + cache speedup "
-        "(BENCH_scenario.json)",
-    )
-    bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_scenario.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_scenario.json)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny grid and workload, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
     )
 
 
@@ -1289,63 +1170,6 @@ def _cmd_archive_repair(args) -> int:
     return 0 if verification.ok else 1
 
 
-def _cmd_archive_bench_ingest(args) -> None:
-    from repro.bench import run_ingest_suite
-
-    suite = run_ingest_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        output=args.output,
-    )
-    print("Incremental-ingest benchmark")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
-def _cmd_archive_bench_serving(args) -> None:
-    from repro.bench import run_serving_suite
-
-    suite = run_serving_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        workers=args.workers,
-        output=args.output,
-    )
-    print("Serving-layer benchmark")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
-def _cmd_archive_bench_robustness(args) -> None:
-    from repro.bench import run_robustness_suite
-
-    suite = run_robustness_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        output=args.output,
-    )
-    print("Robustness harness")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
-def _cmd_archive_bench(args) -> None:
-    from repro.bench import run_archive_suite
-
-    suite = run_archive_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        output=args.output,
-    )
-    print("Archive benchmark")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
 def _cmd_scenario(args) -> int | None:
     handler = globals()[f"_cmd_scenario_{args.scenario_command.replace('-', '_')}"]
     return handler(args)
@@ -1444,48 +1268,27 @@ def _cmd_scenario_report(args) -> None:
     print(f"\n{summarize(run)}")
 
 
-def _cmd_scenario_bench(args) -> None:
-    from repro.bench import run_scenario_suite
+def _cmd_bench(args) -> int:
+    from repro.bench import SUITES
+    from repro.bench.runner import broken_floors, run_suite, summary_lines
 
-    suite = run_scenario_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        output=args.output,
-    )
-    print("Scenario-engine benchmark")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
-def _cmd_bench(args) -> None:
-    from repro.bench import run_perf_suite
-
-    suite = run_perf_suite(
-        smoke=True if args.smoke else None,
-        workers=args.workers,
-        rounds=args.rounds,
-        output=args.output,
-    )
-    print("Perf-regression harness")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
-def _cmd_bench_scale(args) -> None:
-    from repro.bench import run_scale_suite
-
-    suite = run_scale_suite(
-        smoke=True if args.smoke else None,
-        providers=args.providers,
-        landmarks=args.landmarks,
-        output=args.output,
-    )
-    print("Scale harness")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
+    unknown = [name for name in args.suites if name not in SUITES]
+    if unknown:
+        raise ValidationError(
+            f"unknown bench suite {', '.join(unknown)} (choose from {', '.join(SUITES)})"
+        )
+    broken = 0
+    for name in args.suites or SUITES:
+        suite = SUITES[name]
+        results = run_suite(
+            suite, smoke=True if args.smoke else None, output_dir=args.output_dir
+        )
+        print(f"Bench suite {name} ({results['mode']})")
+        for line in summary_lines(suite, results):
+            print(f"  {line}")
+        print(f"written to {args.output_dir / suite.output}")
+        broken += len(broken_floors(suite, results))
+    return 1 if broken else 0
 
 
 def _cmd_obs(args) -> int | None:

@@ -213,7 +213,8 @@ METRICS: tuple[MetricSpec, ...] = (
     # -- bench: the regression suites share this registry ----------------
     MetricSpec(
         "repro_bench_section_seconds", GAUGE,
-        "Best-of-rounds wall time of one bench suite section.", ("suite", "section"),
+        "One seconds-valued (``*_s``) result leaf of a bench suite run.",
+        ("suite", "section"),
     ),
 )
 

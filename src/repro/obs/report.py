@@ -249,7 +249,7 @@ def _report_lines(dump: dict) -> list[str]:
             for entry in bench
         ]
         lines.append(render_table(
-            ("Suite", "Section", "Best-of-rounds"), rows, title="Bench sections",
+            ("Suite", "Section", "Seconds"), rows, title="Bench sections",
         ))
 
     spans = dump.get("spans", [])

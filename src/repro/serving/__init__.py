@@ -38,7 +38,7 @@ from repro.serving.client import (
 from repro.serving.daemon import (
     ServingConfig,
     ServingDaemon,
-    worker_rss_bytes,
+    worker_pss_bytes,
 )
 from repro.serving.service import (
     DEFAULT_BATCH_LIMIT,
@@ -66,5 +66,5 @@ __all__ = [
     "ServingOverloadError",
     "ServingRequestError",
     "SupervisorPolicy",
-    "worker_rss_bytes",
+    "worker_pss_bytes",
 ]

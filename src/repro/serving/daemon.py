@@ -278,16 +278,21 @@ def _run_worker(
     os._exit(DRAIN_TIMEOUT_EXIT)
 
 
-def worker_rss_bytes(pid: int) -> int | None:
-    """Resident set size of one worker via ``/proc`` (None off-Linux)."""
+def worker_pss_bytes(pid: int) -> int | None:
+    """Proportional set size of one worker, or None where ``/proc`` lacks it.
+
+    PSS splits each shared page (the mmap'd ``trust.bin``, pages
+    inherited across the fork) among the processes mapping it, so the
+    per-worker figures add up to what the fleet really holds.
+    """
     try:
-        status = Path(f"/proc/{pid}/status").read_text()
+        text = Path(f"/proc/{pid}/smaps_rollup").read_text()
     except OSError:
         return None
-    for line in status.splitlines():
-        if line.startswith("VmRSS:"):
+    for line in text.splitlines():
+        if line.startswith("Pss:"):
             return int(line.split()[1]) * 1024  # kB → bytes
-    return None  # pragma: no cover - VmRSS always present on Linux
+    return None
 
 
 class ServingDaemon:

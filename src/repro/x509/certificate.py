@@ -158,29 +158,25 @@ class Certificate:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def from_der(cls, der: bytes, *, intern: bool = True) -> "Certificate":
+    def from_der(cls, der: bytes) -> "Certificate":
         """Parse a DER certificate.
 
-        With ``intern=True`` (the default) identical DER bytes across
-        the whole process share one parsed instance through the
-        content-addressed intern pool, so a root that appears in
-        hundreds of snapshots is parsed and fingerprinted exactly once.
-        Pass ``intern=False`` to force a fresh parse (benchmarks do).
+        Identical DER bytes across the whole process share one parsed
+        instance through the content-addressed intern pool, so a root
+        that appears in hundreds of snapshots is parsed and
+        fingerprinted exactly once.
         """
         der = bytes(der)
-        if intern:
-            cached = _INTERN_POOL.lookup(der)
-            if cached is not None:
-                return cached
+        cached = _INTERN_POOL.lookup(der)
+        if cached is not None:
+            return cached
         try:
             certificate = cls._parse(der)
         except X509Error:
             raise
         except Exception as exc:  # noqa: BLE001 - normalize parse failures
             raise CertificateParseError(f"cannot parse certificate: {exc}") from exc
-        if intern:
-            return _INTERN_POOL.store(der, certificate)
-        return certificate
+        return _INTERN_POOL.store(der, certificate)
 
     @classmethod
     def _parse(cls, der: bytes) -> "Certificate":

@@ -36,7 +36,7 @@ from repro.archive.binindex import (
 )
 from repro.archive.index import ArchiveIndex, TimelineEntry
 from repro.archive.query import _LRUCache
-from repro.bench.archive import _smoke_dataset
+from repro.bench.runner import smoke_dataset
 from repro.errors import ArchiveCorruptionError, ArchiveError, ArchiveStaleError
 from repro.obs import telemetry_session
 from repro.store.purposes import TrustLevel, TrustPurpose
@@ -472,7 +472,7 @@ class TestIndex:
 
     def test_corrupt_trust_bin_is_rebuilt_never_patched(self, dataset, tmp_path):
         """A commit whose delta base fails its checksum rebuilds from manifests."""
-        small = _smoke_dataset(dataset)
+        small = smoke_dataset(dataset)
         snapshots = [snapshot for p in small.providers for snapshot in small[p]]
         archive = Archive(tmp_path / "flipped", create=True)
         ingest_snapshots(archive, snapshots[:-1])

@@ -236,22 +236,19 @@ class TestObs:
         assert captured.err.startswith("error: ")
         assert len(captured.err.strip().splitlines()) == 1
 
-    def test_bench_smoke_feeds_obs_report(self, tmp_path, capsys, monkeypatch):
-        """The REPRO_BENCH_SMOKE=1 path ends in ``obs report``: bench
-        sections land in the shared registry and render from the dump."""
-        from repro.bench.perf import SMOKE_ENV
-
-        monkeypatch.setenv(SMOKE_ENV, "1")
+    def test_bench_smoke_feeds_obs_report(self, tmp_path, capsys):
+        """The smoke bench path ends in ``obs report``: bench sections
+        land in the shared registry and render from the dump."""
         metrics = tmp_path / "bench-metrics.json"
         assert main([
-            "bench", "--output", str(tmp_path / "BENCH_ordination.json"),
+            "bench", "ordination", "--smoke", "--output-dir", str(tmp_path),
             "--metrics-out", str(metrics),
         ]) == 0
         capsys.readouterr()
         assert main(["obs", "report", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "Bench sections" in out
-        for section in ("distance_vectorized", "mds_smacof"):
+        for section in ("distance.vectorized_s", "mds.smacof_s"):
             assert section in out
         assert "Analysis stages" in out  # instrumented stages fired too
 
@@ -273,6 +270,12 @@ class TestErrorExits:
         rc = main(["scrape", "java", str(tmp_path / "nowhere")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bench_unknown_suite_exits_nonzero(self, tmp_path, capsys):
+        assert main(["bench", "nope", "--smoke", "--output-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown bench suite nope")
+        assert not list(tmp_path.iterdir())
 
     def test_archive_query_missing_archive_exits_nonzero(self, tmp_path, capsys):
         rc = main(["archive", "query", str(tmp_path / "no-archive"), "--provider", "nss"])
@@ -367,10 +370,11 @@ class TestArchive:
         assert "would remove 0 objects" in capsys.readouterr().out
 
     def test_bench_smoke(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_archive.json"
-        assert main(["archive", "bench", "--smoke", "--output", str(output)]) == 0
+        assert main(["bench", "archive", "--smoke", "--output-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "Archive benchmark" in out and "idempotent=True" in out
+        assert "Bench suite archive (smoke)" in out
+        assert "floor ingest.idempotent == True" in out and "BROKEN" not in out
+        assert (tmp_path / "BENCH_archive.json").exists()
 
 
 class TestWatch:
@@ -413,13 +417,11 @@ class TestWatch:
         assert "Watch report" in out  # the loop survived the faults
 
     def test_bench_ingest_smoke(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_ingest.json"
-        assert main(["archive", "bench-ingest", "--smoke", "--output", str(output)]) == 0
+        assert main(["bench", "ingest", "--smoke", "--output-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "Incremental-ingest benchmark" in out
-        assert "catalog_match=True" in out
-        assert output.exists()
-        assert output.exists()
+        assert "Bench suite ingest (smoke)" in out
+        assert "correctness.catalog_match" in out and "BROKEN" not in out
+        assert (tmp_path / "BENCH_ingest.json").exists()
 
 
 @pytest.fixture()
@@ -521,9 +523,8 @@ class TestScenario:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_bench_smoke(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_scenario.json"
-        assert main(["scenario", "bench", "--smoke", "--output", str(output)]) == 0
+        assert main(["bench", "scenario", "--smoke", "--output-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "Scenario-engine benchmark" in out
-        assert f"baseline written to {output}" in out
-        assert output.exists()
+        assert "Bench suite scenario (smoke)" in out
+        assert f"written to {tmp_path / 'BENCH_scenario.json'}" in out
+        assert (tmp_path / "BENCH_scenario.json").exists()

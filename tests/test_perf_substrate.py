@@ -1,7 +1,7 @@
 """The perf substrate: snapshot indexes, memoization, intern pool.
 
 These are behavioral guarantees, not timings — the timings live in
-``benchmarks/bench_perf.py`` and the ``repro-roots bench`` harness.
+the ``ordination`` bench suite (``repro-roots bench ordination``).
 """
 
 from __future__ import annotations
@@ -86,10 +86,11 @@ class TestInternPool:
         second = Certificate.from_der(sample_cert.der)
         assert first is second
 
-    def test_intern_false_gives_fresh_instance(self, sample_cert):
+    def test_cleared_pool_gives_fresh_instance(self, sample_cert):
         clear_certificate_intern_pool()
         pooled = Certificate.from_der(sample_cert.der)
-        fresh = Certificate.from_der(sample_cert.der, intern=False)
+        clear_certificate_intern_pool()
+        fresh = Certificate.from_der(sample_cert.der)
         assert fresh is not pooled
         assert fresh == pooled
 

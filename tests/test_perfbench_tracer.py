@@ -23,7 +23,7 @@ from repro.analysis.mds import landmark_mds, smacof
 from repro.analysis.sparse import cross_distances, maxmin_landmarks
 from repro.archive import Archive, ArchiveQuery, ingest_dataset
 from repro.archive.query import MANIFEST_CACHE_SIZE
-from repro.bench.archive import _smoke_dataset
+from repro.bench.runner import smoke_dataset
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -63,7 +63,7 @@ def test_workload_call_signatures_bind():
 @pytest.fixture(scope="module")
 def small_query(dataset, tmp_path_factory):
     archive = Archive(tmp_path_factory.mktemp("perfbench-names") / "archive", create=True)
-    ingest_dataset(archive, _smoke_dataset(dataset))
+    ingest_dataset(archive, smoke_dataset(dataset))
     return ArchiveQuery(archive.root)
 
 

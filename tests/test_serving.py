@@ -51,7 +51,7 @@ from repro.archive import (
 from repro.archive.binindex import BINARY_FILE, BinaryIndex, binary_index_path
 from repro.archive.index import INDEX_DIR
 from repro.archive.repair import QUARANTINE_DIR
-from repro.bench.archive import _smoke_dataset
+from repro.bench.runner import smoke_dataset
 from repro.cli.main import main
 from repro.collection.faults import SimulatedClock
 from repro.collection.watch import Watcher, build_watch_world
@@ -75,7 +75,7 @@ def _no_fsync(monkeypatch):
 
 @pytest.fixture(scope="module")
 def small_dataset(dataset):
-    return _smoke_dataset(dataset)
+    return smoke_dataset(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +292,20 @@ class TestBinaryQueryEquivalence:
             assert scan.ever_shipped(fingerprint) == binary_engine.ever_shipped(
                 fingerprint
             )
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [str.upper, lambda fp: fp[:2] + " " + fp[2:], lambda fp: fp[:-2]],
+        ids=["uppercase", "spaced", "short"],
+    )
+    def test_non_canonical_fingerprint_is_absent(self, engines, mangle):
+        scan, binary_engine = engines
+        fingerprints, dates = _probes(scan)
+        probe = mangle(fingerprints[0])
+        assert scan.ever_shipped(probe) == binary_engine.ever_shipped(probe) == ()
+        assert scan.trusted_on_many([probe], dates[-1]) == binary_engine.trusted_on_many(
+            [probe], dates[-1]
+        )
 
     def test_snapshot_at_identical(self, engines):
         scan, binary_engine = engines
