@@ -46,6 +46,7 @@ from repro.archive.chaos import (
 )
 from repro.archive.index import (
     ArchiveIndex,
+    IndexChange,
     apply_index_delta,
     Posting,
     TimelineEntry,
@@ -112,6 +113,7 @@ __all__ = [
     "CrashInjector",
     "CrashPoint",
     "GCResult",
+    "IndexChange",
     "IngestJournal",
     "IngestReport",
     "JournalState",

@@ -24,6 +24,7 @@ damaged file rather than as silently wrong analysis output.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -35,6 +36,9 @@ from repro.errors import ArchiveCorruptionError, ArchiveError
 OBJECTS_DIR = "objects"
 #: Suffix given to every stored blob (they are all certificate DER).
 OBJECT_SUFFIX = ".der"
+#: A valid object name: lowercase hex, long enough to shard (no path
+#: separators, so a name can never escape the object directory).
+_OBJECT_NAME = re.compile(r"[0-9a-f]{3,}")
 
 
 def content_address(data: bytes) -> str:
@@ -60,7 +64,7 @@ class ContentStore:
 
     def path_for(self, fingerprint: str) -> Path:
         """Where the object named ``fingerprint`` lives (or would live)."""
-        if len(fingerprint) < 3 or not all(c in "0123456789abcdef" for c in fingerprint):
+        if _OBJECT_NAME.fullmatch(fingerprint) is None:
             raise ArchiveError(f"not a SHA-256 hex fingerprint: {fingerprint!r}")
         return self.root / fingerprint[:2] / f"{fingerprint}{OBJECT_SUFFIX}"
 

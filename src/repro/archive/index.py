@@ -29,9 +29,9 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from repro.archive.manifest import Archive
+from repro.archive.manifest import Archive, CatalogRow
 from repro.errors import ArchiveError
 
 #: Directory name of the index file inside an archive root.
@@ -100,6 +100,19 @@ class ArchiveIndex:
         return timeline[position - 1]
 
 
+class IndexChange(NamedTuple):
+    """One snapshot a writer session changed — all a delta needs of it.
+
+    Rows and fingerprints only: a writer keeps one of these per changed
+    snapshot until commit, and never the manifest itself.
+    """
+
+    old_row: CatalogRow | None  # the superseded row; None for a new snapshot
+    old_fingerprints: frozenset[str]  # the superseded manifest's fingerprints
+    row: CatalogRow  # the snapshot's new catalog row
+    fingerprints: tuple[str, ...]  # the new manifest's fingerprints, sorted
+
+
 def build_index(archive: Archive) -> ArchiveIndex:
     """Scan catalog + manifests into a fresh in-memory index."""
     catalog_hash = archive.catalog_hash()
@@ -134,37 +147,34 @@ def build_index(archive: Archive) -> ArchiveIndex:
 
 def apply_index_delta(
     base: ArchiveIndex,
-    changes: Iterable[tuple],
+    changes: Iterable[IndexChange],
     catalog_hash: str,
 ) -> ArchiveIndex:
     """A new index equal to rebuilding after ``changes``, without the scan.
 
-    ``changes`` is what one writer session did: ``(old_row, old_fingerprints,
-    manifest)`` triples where ``old_row`` is the superseded
-    :class:`~repro.archive.manifest.CatalogRow` (None for a brand-new
-    snapshot) and ``manifest`` the snapshot's new manifest.  Postings
+    ``changes`` is what one writer session did, one :class:`IndexChange`
+    per changed snapshot.  Applied to the empty index, the changes of a
+    session that started from no catalog are the whole index.  Postings
     and timelines are patched in place and re-sorted with exactly the
     :func:`build_index` sort keys, so the persisted bytes come out
     identical to a full rebuild — the kill-matrix test depends on that.
     """
     postings = {fp: list(ps) for fp, ps in base.postings.items()}
     timelines = {p: list(ts) for p, ts in base.timelines.items()}
-    for old_row, old_fingerprints, manifest in changes:
-        new_fingerprints = {entry.fingerprint for entry in manifest.entries}
-        posting = Posting(
-            provider=manifest.provider, version=manifest.version, taken_at=manifest.taken_at
-        )
+    for old_row, old_fingerprints, row, fingerprints in changes:
+        posting = Posting(provider=row.provider, version=row.version, taken_at=row.taken_at)
         entry = TimelineEntry(
-            taken_at=manifest.taken_at,
-            version=manifest.version,
-            manifest_id=manifest.manifest_id,
-            entries=len(manifest),
+            taken_at=row.taken_at,
+            version=row.version,
+            manifest_id=row.manifest_id,
+            entries=row.entries,
         )
-        timeline = timelines.setdefault(manifest.provider, [])
+        timeline = timelines.setdefault(row.provider, [])
         if old_row is not None:
             # Same (provider, version, taken_at) key, new content: the
             # Posting value is unchanged, so only the fingerprint sets'
             # symmetric difference needs touching.
+            new_fingerprints = set(fingerprints)
             for fp in set(old_fingerprints) - new_fingerprints:
                 plist = postings.get(fp, [])
                 if posting in plist:
@@ -180,7 +190,7 @@ def apply_index_delta(
             else:
                 timeline.append(entry)
         else:
-            for fp in new_fingerprints:
+            for fp in fingerprints:
                 postings.setdefault(fp, []).append(posting)
             timeline.append(entry)
     for timeline in timelines.values():

@@ -7,13 +7,17 @@ certificate DER into the content store (deduplicated), one manifest
 per snapshot, and a single atomic catalog rewrite at the end.
 
 Everything is incremental.  Objects and manifests are content-named,
-so a snapshot that is already archived costs two ``exists()`` checks
-and writes nothing; re-ingesting an unchanged corpus leaves the object
-directory untouched and rewrites a byte-identical catalog (same
-:meth:`~repro.archive.manifest.Archive.catalog_hash`).  A changed
-snapshot under an existing ``(provider, version, taken_at)`` key —
-e.g. a re-scrape that salvaged more entries — supersedes the old
-catalog row; the old manifest file stays until ``archive gc``.
+so a snapshot that is already archived costs one manifest encode and a
+catalog lookup, and writes nothing; re-ingesting an unchanged corpus
+leaves the object directory untouched and rewrites a byte-identical
+catalog (same :meth:`~repro.archive.manifest.Archive.catalog_hash`).
+A new snapshot's certificates are stored once per writer session: the
+first sighting of a fingerprint costs one ``put`` (an ``exists()``
+check, plus the write when the object is new), every later sighting a
+set lookup.  A changed snapshot under an existing ``(provider, version,
+taken_at)`` key — e.g. a re-scrape that salvaged more entries —
+supersedes the old catalog row; the old manifest file stays until
+``archive gc``.
 
 Everything is also crash-consistent.  Each writer holds the archive's
 single-writer lock (:class:`~repro.archive.lock.WriterLock`) for its
@@ -36,7 +40,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.archive.binindex import read_verified_index
-from repro.archive.index import apply_index_delta, load_index, persist_index
+from repro.archive.index import (
+    ArchiveIndex,
+    IndexChange,
+    apply_index_delta,
+    load_index,
+    persist_index,
+)
 from repro.archive.journal import IngestJournal, pending_transactions
 from repro.archive.lock import WriterLock
 from repro.archive.manifest import Archive, CatalogRow, SnapshotManifest, serialize_catalog
@@ -127,13 +137,19 @@ class ArchiveWriter:
             raise
         self._dirty = False
         # Incremental-index bookkeeping: the catalog hash this session
-        # started from, plus one (old_row, old_fingerprints, manifest)
-        # record per snapshot that actually changed.  commit() patches
-        # the persisted index with these instead of rescanning every
-        # manifest — unless something forces a full rebuild.
+        # started from, plus one IndexChange per snapshot that actually
+        # changed — rows and fingerprints only, never the manifest, whose
+        # bytes are dropped once written.  commit() patches the persisted
+        # index with these (an empty index when the archive had no
+        # catalog) instead of rescanning every manifest — unless
+        # something forces a full rebuild.
         self._base_hash = archive.catalog_hash()
-        self._index_changes: list[tuple] = []
+        self._index_changes: list[IndexChange] = []
         self._index_rebuild_needed = False
+        # Fingerprints this session has stored or found present.  The
+        # writer lock keeps every other writer and ``gc`` out, so none of
+        # these objects can vanish before commit: a repeat needs no put.
+        self._stored: set[str] = set()
 
     # -- crash-consistency plumbing --------------------------------------
 
@@ -141,7 +157,7 @@ class ArchiveWriter:
         if self._lock is not None:
             self._lock.release()
 
-    def _journal_snapshot(self, manifest: SnapshotManifest) -> None:
+    def _journal_snapshot(self, row: CatalogRow, fingerprints: tuple[str, ...]) -> None:
         """Record the snapshot's intent before any of its bytes land."""
         if self._journal is None:
             return
@@ -149,11 +165,7 @@ class ArchiveWriter:
         start = clock()
         if not self._journal.active:
             self._journal.begin(self.archive.catalog_hash())
-        self._journal.record_snapshot(
-            manifest.provider,
-            manifest.manifest_id,
-            [e.fingerprint for e in manifest.entries],
-        )
+        self._journal.record_snapshot(row.provider, row.manifest_id, list(fingerprints))
         observe("repro_archive_journal_seconds", clock() - start, phase="snapshot")
 
     def abort(self) -> None:
@@ -192,7 +204,7 @@ class ArchiveWriter:
         if existing is not None:
             try:
                 old = self.archive.read_manifest(existing.provider, existing.manifest_id)
-                old_fingerprints = frozenset(e.fingerprint for e in old.entries)
+                old_fingerprints = old.fingerprints()
             except ArchiveError:
                 # Superseded manifest unreadable: the delta is unknowable,
                 # so commit() falls back to a full index rebuild.
@@ -200,15 +212,23 @@ class ArchiveWriter:
                 old_fingerprints = frozenset()
         else:
             old_fingerprints = frozenset()
-        self._index_changes.append((existing, old_fingerprints, manifest))
+        # Snapshot entries are fingerprint-ordered, so this tuple is sorted.
+        fingerprints = tuple(entry.fingerprint for entry in snapshot.entries)
+        self._index_changes.append(IndexChange(existing, old_fingerprints, row, fingerprints))
 
-        self._journal_snapshot(manifest)
+        self._journal_snapshot(row, fingerprints)
         written = deduplicated = 0
+        stored = self._stored
         for entry in snapshot.entries:
+            fingerprint = entry.fingerprint
+            if fingerprint in stored:
+                deduplicated += 1
+                continue
             if self.archive.objects.put(entry.certificate.der).created:
                 written += 1
             else:
                 deduplicated += 1
+            stored.add(fingerprint)
         report.objects_written += written
         report.objects_deduplicated += deduplicated
         if written:
@@ -231,19 +251,27 @@ class ArchiveWriter:
         """Bring the persisted index to the just-written catalog.
 
         The cheap path patches the index that matched this session's
-        *starting* catalog with the session's recorded deltas; anything
-        that breaks the delta invariant (no persisted index, it was
-        stale already or fails its checksum, or a superseded manifest
-        was unreadable) falls back to the full rebuild.  Runs after the
-        catalog replace and before the journal retires, so a crash
-        mid-update leaves a pending journal for ``archive repair`` to
-        finish the job.
+        *starting* catalog with the session's recorded deltas — the
+        empty index when the session started from no catalog, so a
+        first ingest reads no manifest back.  Anything that breaks the
+        delta invariant (no persisted index for an existing catalog, it
+        was stale already or fails its checksum, or a superseded
+        manifest was unreadable) falls back to the full rebuild.  Runs
+        after the catalog replace and before the journal retires, so a
+        crash mid-update leaves a pending journal for ``archive repair``
+        to finish the job.
         """
         new_hash = self.archive.catalog_hash()
         if new_hash is None:  # pragma: no cover - write_catalog just ran
             return
-        base = None
-        if not self._index_rebuild_needed and self._base_hash is not None:
+        if self._index_rebuild_needed:
+            base = None
+        elif self._base_hash is None:
+            # No catalog when the session began: every row is one of this
+            # session's changes, so the delta on an empty index is the
+            # whole index.
+            base = ArchiveIndex(catalog_hash="", postings={}, timelines={})
+        else:
             base = read_verified_index(self.archive, self._base_hash)
         if base is not None:
             updated = apply_index_delta(base, self._index_changes, new_hash)

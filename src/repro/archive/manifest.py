@@ -28,6 +28,7 @@ import hashlib
 import json
 from dataclasses import FrozenInstanceError, dataclass
 from datetime import date, datetime
+from json.encoder import encode_basestring_ascii as _encode_string
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -240,11 +241,31 @@ class SnapshotManifest:
         return manifest
 
     def serialize(self) -> bytes:
+        """The canonical bytes: ``json.dumps(payload, sort_keys=True, indent=1)``.
+
+        Written by a fixed-shape encoder rather than the generic one: the
+        payload's shape never varies, so the text is joined from encoded
+        strings directly.  A row the encoder rejects is malformed; the
+        structural walk of :meth:`to_payload` runs first on that cold
+        path, so a missing key or a bad trust pair anywhere raises the
+        same error it always did.  A field that should be a string but is
+        not is malformed too.
+        """
         serialized = self._serialized
         if serialized is None:
-            serialized = (
-                json.dumps(self.to_payload(), sort_keys=True, indent=1) + "\n"
-            ).encode("ascii")
+            rows = self._lazy_rows()
+            triples = (
+                self._entries
+                if rows is None
+                else ((row["fingerprint"], row["trust"], row["distrust_after"]) for row in rows)
+            )
+            try:
+                serialized = _manifest_text(
+                    self.provider, self.version, self.taken_at.isoformat(), triples
+                ).encode("ascii")
+            except _ROW_ERRORS as exc:
+                self.to_payload()
+                raise _malformed(exc) from exc
             object.__setattr__(self, "_serialized", serialized)
         return serialized
 
@@ -352,6 +373,49 @@ class SnapshotManifest:
             )
         except _ROW_ERRORS as exc:
             raise _malformed(exc) from exc
+
+
+def _string(value) -> str:
+    """One JSON string literal, ASCII-escaped exactly as ``json.dumps`` does."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return _encode_string(value)
+
+
+def _trust_text(trust) -> str:
+    pairs = [f"    [\n     {_string(p)},\n     {_string(lv)}\n    ]" for p, lv in trust]
+    return "[\n" + ",\n".join(pairs) + "\n   ]" if pairs else "[]"
+
+
+def _manifest_text(provider, version, taken_at: str, triples) -> str:
+    """The ``indent=1, sort_keys=True`` manifest document, one entry at a time.
+
+    Keys appear in sorted order by construction (``distrust_after`` <
+    ``fingerprint`` < ``trust``; ``entries`` < ``provider`` < ``schema``
+    < ``taken_at`` < ``version``).  A trust list is encoded once per
+    distinct stored tuple: the corpus has a handful of purpose→level
+    maps shared by thousands of entries.
+    """
+    trust_texts: dict = {}
+    parts = []
+    for fingerprint, trust, distrust_after in triples:
+        if trust.__class__ is tuple:
+            trust_text = trust_texts.get(trust)
+            if trust_text is None:
+                trust_text = trust_texts[trust] = _trust_text(trust)
+        else:
+            trust_text = _trust_text(trust)
+        after = "null" if distrust_after is None else _string(distrust_after)
+        parts.append(
+            f"  {{\n   \"distrust_after\": {after},\n   \"fingerprint\": "
+            f"{_string(fingerprint)},\n   \"trust\": {trust_text}\n  }}"
+        )
+    entries = "[\n" + ",\n".join(parts) + "\n ]" if parts else "[]"
+    return (
+        f"{{\n \"entries\": {entries},\n \"provider\": {_string(provider)},\n"
+        f" \"schema\": {MANIFEST_SCHEMA},\n \"taken_at\": {_string(taken_at)},\n"
+        f" \"version\": {_string(version)}\n}}\n"
+    )
 
 
 def _entry_rows(payload: dict) -> list:

@@ -16,15 +16,23 @@ the final name was untouched); ``gc`` deletes them.  ``gc`` also
 deletes the JSON index files (:data:`LEGACY_INDEX_FILES`) that archives
 written before ``trust.bin`` became the only persisted index still
 carry.
+
+A deleting ``gc`` holds the writer lock for its whole pass.  To a
+concurrent ingest's eyes its in-flight temp files are debris and the
+objects and manifests it has written but not yet cataloged are
+orphans; deleting them would break its ``os.replace`` or leave the
+catalog it is about to commit pointing at missing files.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.archive.index import INDEX_DIR
 from repro.archive.io import remove_all, stray_tmp_files
+from repro.archive.lock import WriterLock
 from repro.archive.manifest import Archive
 from repro.errors import ArchiveCorruptionError, ArchiveError
 
@@ -194,24 +202,30 @@ class GCResult:
 
 
 def gc_archive(archive: Archive, *, dry_run: bool = False) -> GCResult:
-    """Delete orphan objects, manifests, stale temp files and legacy index files."""
-    report = verify_archive(archive)
-    legacy = [
-        path
-        for path in (archive.root / INDEX_DIR / name for name in LEGACY_INDEX_FILES)
-        if path.exists()
-    ]
-    if not dry_run:
-        for fingerprint in report.orphan_objects:
-            archive.objects.remove(fingerprint)
-        for provider, manifest_id in report.orphan_manifests:
-            archive.manifest_path(provider, manifest_id).unlink(missing_ok=True)
-        remove_all(Path(path) for path in report.stale_tmp)
-        remove_all(legacy)
-    return GCResult(
-        objects_removed=len(report.orphan_objects),
-        manifests_removed=len(report.orphan_manifests),
-        dry_run=dry_run,
-        tmp_removed=len(report.stale_tmp),
-        legacy_index_removed=tuple(f"{INDEX_DIR}/{path.name}" for path in legacy),
-    )
+    """Delete orphan objects, manifests, stale temp files and legacy index files.
+
+    Unless ``dry_run``, the pass runs under the writer lock, so it raises
+    :class:`~repro.errors.ArchiveLockError` (deleting nothing) while a
+    live writer holds the archive.
+    """
+    with nullcontext() if dry_run else WriterLock(archive.root, owner="gc"):
+        report = verify_archive(archive)
+        legacy = [
+            path
+            for path in (archive.root / INDEX_DIR / name for name in LEGACY_INDEX_FILES)
+            if path.exists()
+        ]
+        if not dry_run:
+            for fingerprint in report.orphan_objects:
+                archive.objects.remove(fingerprint)
+            for provider, manifest_id in report.orphan_manifests:
+                archive.manifest_path(provider, manifest_id).unlink(missing_ok=True)
+            remove_all(Path(path) for path in report.stale_tmp)
+            remove_all(legacy)
+        return GCResult(
+            objects_removed=len(report.orphan_objects),
+            manifests_removed=len(report.orphan_manifests),
+            dry_run=dry_run,
+            tmp_removed=len(report.stale_tmp),
+            legacy_index_removed=tuple(f"{INDEX_DIR}/{path.name}" for path in legacy),
+        )

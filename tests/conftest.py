@@ -6,10 +6,12 @@ all corpus-consuming tests treat it as read-only.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import pytest
 
+from repro.archive.io import fsync_enabled, set_fsync
 from repro.crypto import DeterministicRandom, generate_ec_key, generate_rsa_key, P256
 from repro.simulation import default_corpus
 from repro.x509 import CertificateBuilder, Name
@@ -24,6 +26,29 @@ def corpus():
 @pytest.fixture(scope="session")
 def dataset(corpus):
     return corpus.dataset
+
+
+@contextmanager
+def fsync_off():
+    """Skip fsync while archives are written, then restore the setting.
+
+    The switch is process-wide and read on every write (the
+    ``REPRO_ARCHIVE_FSYNC`` variable is read once, at import, so setting
+    it later changes nothing).
+    """
+    previous = set_fsync(False)
+    try:
+        assert not fsync_enabled()
+        yield
+    finally:
+        set_fsync(previous)
+
+
+@pytest.fixture
+def no_fsync():
+    """Throwaway archives: skip the fsync syscalls for one test."""
+    with fsync_off():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,17 @@
-"""The per-pair distance oracle for the tiled kernel's equivalence tests.
+"""Slow, obviously-right references for the equivalence tests.
 
-Plain set arithmetic, one pair at a time — O(n² · |store|) and far too
-slow for production, which is exactly why it is the reference: nothing
-here shares code or op order with :mod:`repro.analysis.incidence`.
+- The per-pair distance oracle for the tiled kernel: plain set
+  arithmetic, one pair at a time — O(n² · |store|) and far too slow for
+  production, which is exactly why it is the reference: nothing here
+  shares code or op order with :mod:`repro.analysis.incidence`.
+- The manifest oracle for the fixed-shape manifest writer: the payload
+  built row by row from stored rows, encoded by the generic
+  ``json.dumps(sort_keys=True, indent=1)``.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -38,3 +44,37 @@ def pairwise_distances(sets: list[frozenset[str]], metric: str = "jaccard") -> n
         for j in range(i + 1, n):
             matrix[i, j] = matrix[j, i] = fn(sets[i], sets[j])
     return matrix
+
+
+def manifest_payload(provider, version, taken_at: str, rows) -> dict:
+    """A manifest payload from stored entry rows, checked row by row.
+
+    Each row's three keys are looked up, then its trust pairs unpacked,
+    before the next row is touched — so a malformed row raises the
+    same ``KeyError``/``TypeError``/``ValueError`` the archive's
+    structural walk does.
+    """
+    entries = []
+    for row in rows:
+        fingerprint, trust, distrust_after = (
+            row["fingerprint"], row["trust"], row["distrust_after"]
+        )
+        entries.append(
+            {
+                "fingerprint": fingerprint,
+                "trust": [[purpose, level] for purpose, level in trust],
+                "distrust_after": distrust_after,
+            }
+        )
+    return {
+        "schema": 1,
+        "provider": provider,
+        "version": version,
+        "taken_at": taken_at,
+        "entries": entries,
+    }
+
+
+def manifest_bytes(payload: dict) -> bytes:
+    """The canonical manifest bytes, by the generic JSON encoder."""
+    return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode("ascii")

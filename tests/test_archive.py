@@ -10,15 +10,22 @@ it fail loudly instead of returning plausible garbage.
 
 from __future__ import annotations
 
+import gc
+import json
 import shutil
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.archive import (
     Archive,
     ArchiveQuery,
+    ArchiveWriter,
     ContentStore,
+    IndexChange,
+    ManifestEntry,
     SnapshotManifest,
     build_index,
     gc_archive,
@@ -32,15 +39,23 @@ from repro.archive.binindex import (
     HEADER_SIZE,
     BinaryIndex,
     binary_index_path,
+    encode_binary_index,
     persist_binary_index,
 )
 from repro.archive.index import ArchiveIndex, TimelineEntry
 from repro.archive.query import _LRUCache
 from repro.bench.runner import smoke_dataset
-from repro.errors import ArchiveCorruptionError, ArchiveError, ArchiveStaleError
+from repro.collection.retry import RetryPolicy
+from repro.errors import (
+    ArchiveCorruptionError,
+    ArchiveError,
+    ArchiveLockError,
+    ArchiveStaleError,
+)
 from repro.obs import telemetry_session
 from repro.store.purposes import TrustLevel, TrustPurpose
 from tests.conftest import scan_engine
+from tests.oracle import manifest_bytes, manifest_payload
 
 
 @pytest.fixture(scope="session")
@@ -96,8 +111,13 @@ class TestContentStore:
 
     def test_rejects_non_fingerprint_names(self, tmp_path):
         store = ContentStore(tmp_path / "objects")
-        with pytest.raises(ArchiveError, match="not a SHA-256"):
-            store.path_for("../../etc/passwd")
+        for name in ("../../etc/passwd", "AB" * 32, "ab", "", "ab" * 32 + "\n", "ab/cd", "abg"):
+            with pytest.raises(ArchiveError, match="not a SHA-256"):
+                store.path_for(name)
+
+    def test_accepts_short_hex_names(self, tmp_path):
+        store = ContentStore(tmp_path / "objects")
+        assert store.path_for("abc") == tmp_path / "objects" / "ab" / "abc.der"
 
 
 class TestIngest:
@@ -120,6 +140,51 @@ class TestIngest:
         assert report.manifests_written == 0
         assert report.snapshots_unchanged == report.snapshots_seen
         assert archive.catalog_hash() == before
+
+    def test_one_put_per_distinct_object_per_session(self, dataset, tmp_path, monkeypatch):
+        """A repeat fingerprint is known to the session: no hash, no stat."""
+        puts = []
+        original = ContentStore.put
+
+        def counting(store, data):
+            result = original(store, data)
+            puts.append(result.fingerprint)
+            return result
+
+        monkeypatch.setattr(ContentStore, "put", counting)
+        snapshots = [s for p in dataset.providers for s in dataset[p]]
+        half = len(snapshots) // 2
+        archive = Archive(tmp_path / "sessions", create=True)
+        for batch in (snapshots[:half], snapshots[half:]):
+            puts.clear()
+            report = ingest_snapshots(archive, batch)
+            distinct = {e.fingerprint for s in batch for e in s}
+            assert sorted(puts) == sorted(distinct)
+            assert report.objects_written + report.objects_deduplicated == sum(
+                len(s) for s in batch
+            )
+        assert set(archive.objects.fingerprints()) == {
+            e.fingerprint for s in snapshots for e in s
+        }
+
+    def test_writer_holds_no_manifests(self, dataset, tmp_path):
+        """Pending index changes are rows and fingerprints, never manifests."""
+        snapshots = list(smoke_dataset(dataset)[dataset.providers[0]])
+        writer = ArchiveWriter(Archive(tmp_path / "lean", create=True))
+        gc.collect()
+        before = sum(isinstance(o, SnapshotManifest) for o in gc.get_objects())
+        for snapshot in snapshots:
+            writer.add_snapshot(snapshot)
+        gc.collect()
+        assert sum(isinstance(o, SnapshotManifest) for o in gc.get_objects()) == before
+        changes = writer._index_changes
+        assert [change.row.key for change in changes] == [
+            (s.provider, s.version, s.taken_at.isoformat()) for s in snapshots
+        ]
+        for change, snapshot in zip(changes, snapshots):
+            assert isinstance(change, IndexChange)
+            assert change.fingerprints == tuple(sorted(snapshot.fingerprints()))
+        writer.commit()
 
     def test_incremental_ingest_only_writes_new(self, dataset, tmp_path):
         archive = Archive(tmp_path / "incremental", create=True)
@@ -157,6 +222,109 @@ class TestManifest:
         b = SnapshotManifest.from_snapshot(dataset["nss"].snapshots[0])
         assert a.manifest_id != b.manifest_id
         assert a.manifest_id == SnapshotManifest.from_payload(a.to_payload()).manifest_id
+
+
+_TRUST_PAIRS = st.lists(st.tuples(st.text(), st.text()), max_size=3)
+#: Stored trust maps repeat across entries; the writer encodes each once.
+_COMMON_TRUST = (
+    (),
+    (("server-auth", "trusted"),),
+    (("email", "trusted"), ("server-auth", "distrusted")),
+)
+_ENTRIES = st.lists(
+    st.tuples(
+        st.text(),
+        st.one_of(st.sampled_from(_COMMON_TRUST), _TRUST_PAIRS),
+        st.one_of(st.none(), st.datetimes().map(lambda d: d.isoformat()), st.text()),
+    ),
+    max_size=5,
+)
+
+
+def _rows(entries) -> list[dict]:
+    return [
+        {"fingerprint": fp, "trust": [list(pair) for pair in trust], "distrust_after": after}
+        for fp, trust, after in entries
+    ]
+
+
+class TestManifestWriter:
+    """The fixed-shape manifest encoder against the generic JSON encoder."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(provider=st.text(), version=st.text(), taken_at=st.dates(), entries=_ENTRIES)
+    def test_matches_json_oracle(self, provider, version, taken_at, entries):
+        rows = _rows(entries)
+        expected = manifest_bytes(
+            manifest_payload(provider, version, taken_at.isoformat(), rows)
+        )
+        built = SnapshotManifest(
+            provider,
+            version,
+            taken_at,
+            [ManifestEntry(fp, tuple(map(tuple, trust)), after) for fp, trust, after in entries],
+        )
+        assert built.serialize() == expected
+        # Decoded rows as a bulk scan holds them, and materialized entries.
+        assert SnapshotManifest.from_payload(json.loads(expected)).serialize() == expected
+        materialized = SnapshotManifest.from_payload(json.loads(expected))
+        materialized.entries  # noqa: B018
+        assert materialized.serialize() == expected
+
+    def test_edge_shapes_match_json_oracle(self, dataset):
+        cases = [
+            ("nss", "3.1", []),
+            ("nss", "3.1", [("ab" * 32, [], None)]),
+            ("nss", "3.1", [("ab" * 32, [("server-auth", "trusted")], "2020-06-30T00:00:00")]),
+            ("n\u00e9ss \u2603", "v\x00\x1f\"\\\u2028\U0001f600",
+             [("cd", [("\u00e9", "\t")], "\x7f")]),
+        ]
+        for provider, version, entries in cases:
+            rows = _rows(entries)
+            expected = manifest_bytes(manifest_payload(provider, version, "2020-01-01", rows))
+            assert SnapshotManifest.from_payload(json.loads(expected)).serialize() == expected
+        for snapshot in (dataset["nss"].latest(), dataset["microsoft"].snapshots[0]):
+            manifest = SnapshotManifest.from_snapshot(snapshot)
+            assert manifest.serialize() == manifest_bytes(manifest.to_payload())
+
+    FP = "ab" * 32
+    OK = {"fingerprint": FP, "trust": [["server-auth", "trusted"]], "distrust_after": None}
+    MALFORMED = [
+        [{"fingerprint": FP, "distrust_after": None}],
+        [{"trust": [], "distrust_after": None}],
+        [{"fingerprint": FP, "trust": []}],
+        [{"fingerprint": FP, "trust": [["server-auth"]], "distrust_after": None}],
+        [{"fingerprint": FP, "trust": [["a", "b", "c"]], "distrust_after": None}],
+        [{"fingerprint": FP, "trust": [5], "distrust_after": None}],
+        [{"fingerprint": FP, "trust": None, "distrust_after": None}],
+        ["not a row"],
+        [OK, None],
+        # The structural error in a later row wins over a non-string
+        # field in an earlier one, as it did with the generic encoder.
+        [{**OK, "fingerprint": 7}, {"fingerprint": FP, "distrust_after": None}],
+        [{**OK, "distrust_after": 0}, {**OK, "trust": [["x"]]}],
+    ]
+
+    @pytest.mark.parametrize("rows", MALFORMED)
+    def test_malformed_rows_raise_the_structural_error(self, rows):
+        with pytest.raises((KeyError, TypeError, ValueError)) as oracle:
+            manifest_payload("p", "1", "2020-01-01", rows)
+        payload = {"provider": "p", "version": "1", "taken_at": "2020-01-01", "entries": rows}
+        with pytest.raises(ArchiveError) as raised:
+            SnapshotManifest.from_payload(payload).serialize()
+        assert str(raised.value) == f"malformed manifest payload: {oracle.value}"
+
+    @pytest.mark.parametrize(
+        "row",
+        [{**OK, "fingerprint": 7}, {**OK, "trust": [["server-auth", None]]},
+         {**OK, "distrust_after": 0}],
+    )
+    def test_non_string_fields_are_malformed(self, row):
+        payload = {"provider": "p", "version": "1", "taken_at": "2020-01-01", "entries": [row]}
+        with pytest.raises(ArchiveError, match="malformed manifest payload: expected a string"):
+            SnapshotManifest.from_payload(payload).serialize()
+        with pytest.raises(ArchiveError, match="malformed manifest payload: expected a string"):
+            SnapshotManifest.from_payload({**payload, "entries": [], "provider": 3}).serialize()
 
 
 class TestManifestDecode:
@@ -470,6 +638,29 @@ class TestIndex:
         assert "alpine" in full.timelines
         assert full == build_index(archive)
 
+    def test_first_ingest_is_a_delta_equal_to_a_rebuild(self, dataset, tmp_path, monkeypatch):
+        """A first ingest reads no manifest back; trust.bin still equals a scan."""
+        reads = []
+        original = Archive.read_manifest
+
+        def counting(archive, provider, manifest_id):
+            reads.append(manifest_id)
+            return original(archive, provider, manifest_id)
+
+        monkeypatch.setattr(Archive, "read_manifest", counting)
+        archive = Archive(tmp_path / "first", create=True)
+        with telemetry_session() as telemetry:
+            ingest_dataset(archive, dataset)
+            families = {family["name"]: family for family in telemetry.registry.to_dict()}
+        assert reads == []
+        assert families["repro_archive_index_updates_total"]["series"] == [
+            {"labels": {"mode": "delta"}, "value": 1}
+        ]
+        monkeypatch.undo()
+        rebuilt = build_index(archive)
+        assert rebuilt.catalog_hash == archive.catalog_hash()
+        assert binary_index_path(archive).read_bytes() == encode_binary_index(rebuilt)
+
     def test_corrupt_trust_bin_is_rebuilt_never_patched(self, dataset, tmp_path):
         """A commit whose delta base fails its checksum rebuilds from manifests."""
         small = smoke_dataset(dataset)
@@ -720,7 +911,42 @@ class TestCorruption:
         assert (row.provider, row.manifest_id) in report.missing_manifests
 
 
+def _tree(root) -> dict:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 class TestGC:
+    def test_gc_never_runs_under_a_live_writer(self, dataset, tmp_path, monkeypatch):
+        """A writer's uncommitted objects, manifests and temps look like
+        orphans and debris; a deleting gc must wait for its lock instead."""
+        monkeypatch.setattr("repro.archive.lock.LOCK_POLICY", RetryPolicy(max_attempts=1))
+        small = smoke_dataset(dataset)
+        snapshots = [snapshot for p in small.providers for snapshot in small[p]]
+        archive = Archive(tmp_path / "busy", create=True)
+        ingest_snapshots(archive, snapshots[:-1])
+        writer = ArchiveWriter(archive)
+        writer.add_snapshot(snapshots[-1])
+        (archive.root / "objects" / "in-flight.der.tmp").write_bytes(b"half-written")
+        pending = verify_archive(archive)
+        assert pending.orphan_manifests and pending.stale_tmp
+        before = _tree(archive.root)
+
+        with pytest.raises(ArchiveLockError):
+            gc_archive(archive)
+        assert _tree(archive.root) == before
+        dry = gc_archive(archive, dry_run=True)  # a report needs no lock
+        assert dry.manifests_removed == len(pending.orphan_manifests)
+        assert _tree(archive.root) == before
+
+        writer.commit()
+        result = gc_archive(archive)
+        assert (result.manifests_removed, result.tmp_removed) == (0, 1)
+        assert verify_archive(archive).ok
+
     def test_gc_removes_only_orphans(self, dataset, archive_dir, tmp_path):
         archive = _copy_archive(archive_dir, tmp_path)
         orphan = archive.objects.put(b"not referenced by any manifest")

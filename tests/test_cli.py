@@ -377,11 +377,8 @@ class TestArchive:
         assert (tmp_path / "BENCH_archive.json").exists()
 
 
+@pytest.mark.usefixtures("no_fsync")
 class TestWatch:
-    @pytest.fixture(autouse=True)
-    def _no_fsync(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
-
     def test_watch_ingests_then_goes_idle(self, tmp_path, capsys):
         import json
 
@@ -453,11 +450,8 @@ def scenario_file(tmp_path):
     return path
 
 
+@pytest.mark.usefixtures("no_fsync")
 class TestScenario:
-    @pytest.fixture(autouse=True)
-    def _no_fsync(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
-
     def test_run_report_round_trip(self, archive_dir, scenario_file, tmp_path, capsys):
         run_file = tmp_path / "run.json"
         metrics_file = tmp_path / "metrics.json"

@@ -65,12 +65,10 @@ from repro.serving import (
     ServingRequestError,
 )
 from repro.store.purposes import TrustPurpose
-from tests.conftest import scan_engine
+from tests.conftest import fsync_off, scan_engine
 
 
-@pytest.fixture(autouse=True)
-def _no_fsync(monkeypatch):
-    monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
+pytestmark = pytest.mark.usefixtures("no_fsync")
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +80,8 @@ def small_dataset(dataset):
 def served_archive(small_dataset, tmp_path_factory):
     """A small ingested archive (ingest persists ``trust.bin``)."""
     root = tmp_path_factory.mktemp("serving") / "archive"
-    os.environ.setdefault("REPRO_ARCHIVE_FSYNC", "0")
-    archive = Archive(root, create=True)
-    ingest_dataset(archive, small_dataset)
+    with fsync_off():
+        ingest_dataset(Archive(root, create=True), small_dataset)
     return root
 
 

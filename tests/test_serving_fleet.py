@@ -45,6 +45,7 @@ from repro.serving import (
     ServingOverloadError,
     SupervisorPolicy,
 )
+from tests.conftest import fsync_off
 
 #: A restart discipline tuned for tests: heal in milliseconds, never
 #: trip on the handful of kills a test injects.
@@ -58,17 +59,14 @@ FAST_POLICY = SupervisorPolicy(
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_fsync(monkeypatch):
-    monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
+pytestmark = pytest.mark.usefixtures("no_fsync")
 
 
 @pytest.fixture(scope="module")
 def served_archive(dataset, tmp_path_factory):
     root = tmp_path_factory.mktemp("fleet") / "archive"
-    os.environ.setdefault("REPRO_ARCHIVE_FSYNC", "0")
-    archive = Archive(root, create=True)
-    ingest_dataset(archive, smoke_dataset(dataset))
+    with fsync_off():
+        ingest_dataset(Archive(root, create=True), smoke_dataset(dataset))
     return root
 
 

@@ -45,10 +45,7 @@ from repro.ct import ACCEPTED_ROOTS_PATH, accepted_roots_snapshot, simulated_roo
 from repro.errors import CollectionError
 
 
-@pytest.fixture(autouse=True)
-def _no_fsync(monkeypatch):
-    """Watch archives here are throwaway; skip the fsync syscalls."""
-    monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
+pytestmark = pytest.mark.usefixtures("no_fsync")  # throwaway archives
 
 
 @pytest.fixture(scope="module")
