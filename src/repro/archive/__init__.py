@@ -28,8 +28,9 @@ clean while degraded queries keep serving the intact snapshots.
 
 from repro.archive.binindex import (
     BinaryIndex,
+    Posting,
+    TimelineEntry,
     check_binary_index,
-    encode_binary_index,
     load_binary_index,
     persist_binary_index,
     read_binary_index,
@@ -45,11 +46,8 @@ from repro.archive.chaos import (
     record_sites,
 )
 from repro.archive.index import (
-    ArchiveIndex,
     IndexChange,
     apply_index_delta,
-    Posting,
-    TimelineEntry,
     build_index,
     load_index,
     persist_index,
@@ -100,7 +98,6 @@ from repro.archive.verify import GCResult, VerificationReport, gc_archive, verif
 __all__ = [
     "Archive",
     "ArchiveDiff",
-    "ArchiveIndex",
     "ArchiveQuery",
     "ArchiveWriter",
     "BinaryIndex",
@@ -137,7 +134,6 @@ __all__ = [
     "check_binary_index",
     "content_address",
     "crash_at",
-    "encode_binary_index",
     "fsync_enabled",
     "load_binary_index",
     "gc_archive",

@@ -39,14 +39,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.archive.binindex import read_verified_index
-from repro.archive.index import (
-    ArchiveIndex,
-    IndexChange,
-    apply_index_delta,
-    load_index,
-    persist_index,
-)
+from repro.archive.binindex import empty_index, read_binary_index
+from repro.archive.index import IndexChange, apply_index_delta, load_index, persist_index
 from repro.archive.journal import IngestJournal, pending_transactions
 from repro.archive.lock import WriterLock
 from repro.archive.manifest import Archive, CatalogRow, SnapshotManifest, serialize_catalog
@@ -247,35 +241,33 @@ class ArchiveWriter:
         self._rows[row.key] = row
         self._dirty = True
 
-    def _update_index(self) -> None:
+    def _update_index(self, new_hash: str) -> None:
         """Bring the persisted index to the just-written catalog.
 
-        The cheap path patches the index that matched this session's
-        *starting* catalog with the session's recorded deltas — the
-        empty index when the session started from no catalog, so a
-        first ingest reads no manifest back.  Anything that breaks the
-        delta invariant (no persisted index for an existing catalog, it
-        was stale already or fails its checksum, or a superseded
-        manifest was unreadable) falls back to the full rebuild.  Runs
-        after the catalog replace and before the journal retires, so a
-        crash mid-update leaves a pending journal for ``archive repair``
-        to finish the job.
+        The cheap path merges this session's recorded changes into the
+        index that matched its *starting* catalog — the empty index when
+        the session started from no catalog, so a first ingest reads no
+        manifest back.  Anything that breaks the delta invariant (no
+        persisted index for an existing catalog, it was stale already or
+        fails its checksum, or a superseded manifest was unreadable)
+        falls back to the full rebuild.  Runs after the catalog replace
+        and before the journal retires, so a crash mid-update leaves a
+        pending journal for ``archive repair`` to finish the job.
         """
-        new_hash = self.archive.catalog_hash()
-        if new_hash is None:  # pragma: no cover - write_catalog just ran
-            return
         if self._index_rebuild_needed:
             base = None
         elif self._base_hash is None:
             # No catalog when the session began: every row is one of this
             # session's changes, so the delta on an empty index is the
             # whole index.
-            base = ArchiveIndex(catalog_hash="", postings={}, timelines={})
+            base = empty_index()
         else:
-            base = read_verified_index(self.archive, self._base_hash)
+            base = read_binary_index(self.archive, self._base_hash)
         if base is not None:
-            updated = apply_index_delta(base, self._index_changes, new_hash)
-            persist_index(self.archive, updated)
+            try:
+                persist_index(self.archive, apply_index_delta(base, self._index_changes, new_hash))
+            finally:
+                base.close()
             count("repro_archive_index_updates_total", mode="delta")
         else:
             load_index(self.archive, rebuild=True)
@@ -290,9 +282,10 @@ class ArchiveWriter:
     def commit(self) -> IngestReport:
         """Write the catalog (only when something changed), release, report.
 
-        The catalog intent — the SHA-256 the replaced catalog will have
-        — is journaled first, so recovery can tell whether the replace
-        landed; the journal itself is retired only after it did.
+        The catalog is serialized once: its SHA-256 is journaled first as
+        the intent, so recovery can tell whether the replace landed, and
+        the same bytes are then written and key the index update.  The
+        journal itself is retired only after the replace.
         """
         try:
             with stage_timer(
@@ -300,18 +293,19 @@ class ArchiveWriter:
             ):
                 if self._dirty or self.archive.catalog_bytes() is None:
                     rows = list(self._rows.values())
+                    data = serialize_catalog(rows)
+                    new_hash = hashlib.sha256(data).hexdigest()
                     if self._journal is not None:
                         clock = get_telemetry().clock
                         start = clock()
                         if not self._journal.active:
                             self._journal.begin(self.archive.catalog_hash())
-                        intent = hashlib.sha256(serialize_catalog(rows)).hexdigest()
-                        self._journal.record_catalog(intent)
+                        self._journal.record_catalog(new_hash)
                         observe(
                             "repro_archive_journal_seconds", clock() - start, phase="catalog"
                         )
-                    self.archive.write_catalog(rows)
-                    self._update_index()
+                    self.archive.write_catalog(rows, data)
+                    self._update_index(new_hash)
                     if self._journal is not None:
                         self._journal.commit()
                     self._dirty = False

@@ -519,9 +519,15 @@ class Archive:
             raise ArchiveError(f"malformed catalog {self.catalog_path}: {exc}") from exc
         return rows
 
-    def write_catalog(self, rows: list[CatalogRow]) -> None:
-        """Durably, atomically replace the catalog (sorted, canonical JSON)."""
-        atomic_write_bytes(self.catalog_path, serialize_catalog(rows), site="catalog")
+    def write_catalog(self, rows: list[CatalogRow], data: bytes | None = None) -> None:
+        """Durably, atomically replace the catalog (sorted, canonical JSON).
+
+        ``data`` is ``serialize_catalog(rows)`` when the caller already
+        holds it (the writer journals its hash before the replace).
+        """
+        if data is None:
+            data = serialize_catalog(rows)
+        atomic_write_bytes(self.catalog_path, data, site="catalog")
 
     # -- manifests -------------------------------------------------------
 

@@ -8,7 +8,7 @@ without ever re-synthesizing or re-scraping the corpus.
 Two layers keep repeated queries off the filesystem entirely:
 
 - the persisted index ``trust.bin`` (:mod:`repro.archive.binindex`,
-  opened by header only and decoded one record at a time) resolves
+  checksum-verified on open and decoded one record at a time) resolves
   *which* manifest a query needs without scanning the catalog, and
 - two LRU caches hold decoded manifests and fully reconstructed
   snapshots, so the second query touching the same release costs a
@@ -48,8 +48,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable
 
-from repro.archive.binindex import BinaryIndex, load_binary_index
-from repro.archive.index import Posting, TimelineEntry
+from repro.archive.binindex import BinaryIndex, Posting, TimelineEntry, load_binary_index
 from repro.archive.manifest import Archive, SnapshotManifest
 from repro.archive.repair import QuarantinedSnapshot, read_quarantine
 from repro.errors import ArchiveCorruptionError, ArchiveError, ArchiveStaleError
@@ -185,8 +184,8 @@ class ArchiveQuery:
     ):
         self.archive = archive if isinstance(archive, Archive) else Archive(archive)
         with get_telemetry().span("archive.query.load_index", archive=str(self.archive.root)):
-            #: ``index/trust.bin``, opened by header only (rebuilt when
-            #: missing or stale).
+            #: ``index/trust.bin``, verified on open (rebuilt when
+            #: missing, stale or damaged).
             self.index: BinaryIndex = load_binary_index(self.archive)
         self._manifests = _LRUCache(manifest_cache)
         self._snapshots = _LRUCache(snapshot_cache)
@@ -262,8 +261,8 @@ class ArchiveQuery:
         self._ensure_fresh()
         in_catalog = {
             (provider, entry.version, entry.taken_at.isoformat())
-            for provider, timeline in self.index.timelines.items()
-            for entry in timeline
+            for provider in self.index.providers
+            for entry in self.index.timeline(provider)
         }
         return [r for r in read_quarantine(self.archive.root) if r.key not in in_catalog]
 

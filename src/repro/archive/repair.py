@@ -42,6 +42,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.archive.binindex import BINARY_FILE, BinaryIndex, binary_index_path
 from repro.archive.cas import OBJECT_SUFFIX
 from repro.archive.checkpoint import WATCH_DIR, CheckpointStore
 from repro.archive.index import INDEX_DIR, load_index
@@ -412,27 +413,21 @@ def _heal_index(archive: Archive, report: RepairReport) -> None:
     payload-checksum mismatch is damage whose bytes are parked under
     ``quarantine/index/`` before the rebuild replaces the file.
     """
-    from repro.archive.binindex import (
-        BINARY_FILE,
-        binary_index_path,
-        check_binary_index,
-        read_binary_index,
-    )
-
     catalog_hash = archive.catalog_hash()
     source = binary_index_path(archive)
     if catalog_hash is None or not source.exists():
         return
-    damage = check_binary_index(archive)
-    if damage is None:
-        binary = read_binary_index(archive, catalog_hash)
-        if binary is not None:
-            binary.close()
-            return
-    else:
+    try:
+        binary = BinaryIndex(source)  # verifies header, length and checksum
+    except (ArchiveError, OSError):
         destination = quarantine_root(archive.root) / INDEX_DIR / f"{BINARY_FILE}.corrupt"
         destination.parent.mkdir(parents=True, exist_ok=True)
         source.replace(destination)
+    else:
+        fresh = binary.catalog_hash == catalog_hash
+        binary.close()
+        if fresh:
+            return
     load_index(archive, rebuild=True)
     report.index_healed = True
 

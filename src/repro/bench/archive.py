@@ -46,8 +46,8 @@ def _query_batch(query: ArchiveQuery, size: int) -> list[tuple[str, object]]:
     fingerprints = sorted(query.index.postings)
     dates = sorted(
         entry.taken_at
-        for timeline in query.index.timelines.values()
-        for entry in timeline
+        for provider in query.index.providers
+        for entry in query.index.timeline(provider)
     )
     probes = []
     for k in range(size):

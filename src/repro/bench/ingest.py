@@ -25,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 from repro.archive import Archive, verify_archive
-from repro.archive.binindex import read_verified_index
+from repro.archive.binindex import read_binary_index
 from repro.archive.index import INDEX_DIR
 from repro.bench.runner import Floor, Suite, smoke_dataset, timed
 from repro.collection.faults import SimulatedClock
@@ -83,7 +83,7 @@ def run(dataset: Dataset, smoke: bool) -> dict:
                 == full_archive.catalog_hash(),
                 "index_identical": _index_bytes(delta_archive)
                 == _index_bytes(full_archive),
-                "index_fresh": read_verified_index(
+                "index_fresh": read_binary_index(
                     delta_archive, delta_archive.catalog_hash()
                 )
                 is not None,

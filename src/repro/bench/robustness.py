@@ -172,8 +172,8 @@ def _bench_repair_damaged(root: Path, dataset: Dataset) -> dict:
     # Bit-flip the *least shared* stored objects (deterministically):
     # damaging a root every snapshot ships would quarantine the whole
     # catalog, leaving degraded serving nothing to demonstrate.
-    postings = ArchiveQuery(archive).index.postings
-    by_rarity = sorted((len(ps), fp) for fp, ps in postings.items())
+    index = ArchiveQuery(archive).index
+    by_rarity = sorted((len(index.postings_for(fp)), fp) for fp in index.postings)
     flipped = [fp for _, fp in by_rarity[:DAMAGE_OBJECTS]]
     for fingerprint in flipped:
         path = archive.objects.path_for(fingerprint)

@@ -120,6 +120,8 @@ def run_suite(
 ) -> dict:
     """Run ``suite`` on the default corpus; write ``output_dir / suite.output``."""
     smoke = is_smoke(smoke)
+    if output_dir is not None:  # before the run, not after minutes of it
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
     results = {"schema": 1, "mode": "smoke" if smoke else "full"}
     results.update(suite.run(default_corpus().dataset, smoke))
     for path, value in leaves(results):

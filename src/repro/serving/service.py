@@ -2,7 +2,7 @@
 
 :class:`QueryService` is the transport-free core of the serving layer.
 It owns a single :class:`~repro.archive.query.ArchiveQuery`, which maps
-the archive's ``index/trust.bin`` by header only, constructed with
+the archive's ``index/trust.bin`` (checksum-verified on open), constructed with
 ``refresh_on_stale=True``, so a watch-loop commit under a live worker
 triggers an index *remap* on the next request — counted in
 ``repro_serving_remaps_total`` — never a restart.

@@ -91,13 +91,15 @@ def make_cert(key, cn="Unit Test Root", *, serial=1, ca=True, digest="sha256",
 
 
 def scan_engine(root):
-    """An ``ArchiveQuery`` answering from :func:`build_index` — the oracle.
+    """An ``ArchiveQuery`` answering from the oracle index.
 
-    ``build_index`` scans the catalog and manifests, so the oracle
-    depends on no persisted index format; everything else (manifest
-    reads, caches, observation building) is the engine under test.
+    :func:`tests.oracle.build_index` scans the catalog and manifests
+    into plain maps, so the oracle shares no code with the persisted
+    index format; everything else (manifest reads, caches, observation
+    building) is the engine under test.
     """
-    from repro.archive import Archive, ArchiveQuery, build_index
+    from repro.archive import Archive, ArchiveQuery
+    from tests.oracle import build_index
 
     engine = ArchiveQuery(root)
     engine.index = build_index(Archive(root))

@@ -38,11 +38,10 @@ from repro.archive import (
 from repro.archive.binindex import (
     HEADER_SIZE,
     BinaryIndex,
+    TimelineEntry,
     binary_index_path,
-    encode_binary_index,
     persist_binary_index,
 )
-from repro.archive.index import ArchiveIndex, TimelineEntry
 from repro.archive.query import _LRUCache
 from repro.bench.runner import smoke_dataset
 from repro.collection.retry import RetryPolicy
@@ -55,7 +54,8 @@ from repro.errors import (
 from repro.obs import telemetry_session
 from repro.store.purposes import TrustLevel, TrustPurpose
 from tests.conftest import scan_engine
-from tests.oracle import manifest_bytes, manifest_payload
+from tests import oracle
+from tests.oracle import ArchiveIndex, manifest_bytes, manifest_payload
 
 
 @pytest.fixture(scope="session")
@@ -618,9 +618,10 @@ class TestIndex:
         index_dir = archive.root / "index"
         assert sorted(path.name for path in index_dir.iterdir()) == ["trust.bin"]
         loaded = load_index(archive)
-        assert loaded == build_index(archive)
+        assert loaded.encode() == build_index(archive).encode()
+        assert oracle.decoded(loaded) == oracle.build_index(archive)
         assert loaded.catalog_hash == archive.catalog_hash()
-        assert loaded.providers == sorted(loaded.timelines)
+        assert loaded.providers == sorted(loaded.providers)
 
     def test_stale_index_rebuilds_after_new_ingest(self, dataset, archive_dir, tmp_path):
         archive = _copy_archive(archive_dir, tmp_path)
@@ -630,13 +631,13 @@ class TestIndex:
         archive.write_catalog(rows)
         rebuilt = load_index(archive)
         assert rebuilt.catalog_hash != stale.catalog_hash
-        assert "alpine" not in rebuilt.timelines
+        assert "alpine" not in rebuilt.providers
         # The rebuild was persisted: trust.bin now carries the new hash.
         assert BinaryIndex(binary_index_path(archive)).catalog_hash == rebuilt.catalog_hash
         ingest_dataset(archive, dataset)
         full = load_index(archive)
-        assert "alpine" in full.timelines
-        assert full == build_index(archive)
+        assert "alpine" in full.providers
+        assert full.encode() == oracle.index_bytes(archive)
 
     def test_first_ingest_is_a_delta_equal_to_a_rebuild(self, dataset, tmp_path, monkeypatch):
         """A first ingest reads no manifest back; trust.bin still equals a scan."""
@@ -659,7 +660,8 @@ class TestIndex:
         monkeypatch.undo()
         rebuilt = build_index(archive)
         assert rebuilt.catalog_hash == archive.catalog_hash()
-        assert binary_index_path(archive).read_bytes() == encode_binary_index(rebuilt)
+        assert binary_index_path(archive).read_bytes() == rebuilt.encode()
+        assert rebuilt.encode() == oracle.index_bytes(archive)
 
     def test_corrupt_trust_bin_is_rebuilt_never_patched(self, dataset, tmp_path):
         """A commit whose delta base fails its checksum rebuilds from manifests."""
@@ -689,17 +691,25 @@ class TestIndex:
     def test_in_force_empty_timeline_is_none(self):
         """A provider with zero snapshots resolves to no release — the
         empty timeline must never reach the bisect arithmetic."""
-        index = ArchiveIndex(catalog_hash="0" * 64, postings={}, timelines={"p": ()})
+        index = BinaryIndex(
+            oracle.encode_binary_index(
+                ArchiveIndex(catalog_hash="0" * 64, postings={}, timelines={"p": ()})
+            )
+        )
         assert index.in_force("p", date(2020, 1, 1)) is None
 
     def test_in_force_predating_first_release_never_wraps_to_last(self):
         """``when`` before the first release must be None, not silently
         index ``-1`` and serve the provider's *latest* snapshot."""
         timeline = (
-            TimelineEntry(taken_at=date(2020, 1, 1), version="v1", manifest_id="m1", entries=1),
-            TimelineEntry(taken_at=date(2021, 1, 1), version="v2", manifest_id="m2", entries=1),
+            TimelineEntry(taken_at=date(2020, 1, 1), version="v1", manifest_id="1" * 64, entries=1),
+            TimelineEntry(taken_at=date(2021, 1, 1), version="v2", manifest_id="2" * 64, entries=1),
         )
-        index = ArchiveIndex(catalog_hash="0" * 64, postings={}, timelines={"p": timeline})
+        index = BinaryIndex(
+            oracle.encode_binary_index(
+                ArchiveIndex(catalog_hash="0" * 64, postings={}, timelines={"p": timeline})
+            )
+        )
         assert index.in_force("p", date(2019, 12, 31)) is None
         assert index.in_force("p", date(2020, 1, 1)).version == "v1"  # on-date inclusive
         assert index.in_force("p", date(2020, 6, 1)).version == "v1"
@@ -760,11 +770,11 @@ class TestDefaultLoader:
 
     def test_stale_trust_bin_is_rebuilt(self, archive_dir, probes, reference, tmp_path):
         archive = _copy_archive(archive_dir, tmp_path)
-        index = build_index(archive)
+        index = oracle.build_index(archive)
         stale = ArchiveIndex(
             catalog_hash="0" * 64, postings=index.postings, timelines=index.timelines
         )
-        persist_binary_index(archive, stale)
+        persist_binary_index(archive, BinaryIndex(oracle.encode_binary_index(stale)))
         engine = ArchiveQuery(archive)
         assert engine.index.catalog_hash == archive.catalog_hash()
         assert BinaryIndex(binary_index_path(archive)).catalog_hash == archive.catalog_hash()

@@ -54,7 +54,7 @@ from repro.archive import (
     stray_tmp_files,
     verify_archive,
 )
-from repro.archive.binindex import binary_index_path, read_verified_index
+from repro.archive.binindex import binary_index_path, read_binary_index
 from repro.archive.chaos import STYLES, ChaosPlan, SimulatedCrash
 from repro.archive.io import atomic_write_bytes, unique_tmp
 from repro.archive.lock import LOCK_FILE
@@ -426,12 +426,12 @@ class TestRepairHealsWatchState:
         ingest_dataset(archive, tiny_dataset)
         fresh = path.read_bytes()
         path.write_bytes(older)
-        assert read_verified_index(archive, archive.catalog_hash()) is None
+        assert read_binary_index(archive, archive.catalog_hash()) is None
 
         report = repair_archive(archive)
         assert report.index_healed
         assert path.read_bytes() == fresh
-        assert read_verified_index(archive, archive.catalog_hash()) is not None
+        assert read_binary_index(archive, archive.catalog_hash()) is not None
         assert repair_archive(archive).clean  # idempotent
 
     def test_damaged_checkpoints_are_quarantined(self, tmp_path, tiny_dataset):

@@ -10,7 +10,7 @@ Four layers under test, bottom-up:
   index must answer every surface — ``trusted_on_many`` on every
   archived date, ``ever_shipped`` for every fingerprint, in-force
   resolution for every provider × date, ``snapshot_at``, ``diff`` —
-  element-wise identically to an engine over :func:`build_index` (a
+  element-wise identically to an engine over the oracle index (a
   manifest scan that depends on no persisted format), and
   ``trusted_on_many`` must equal a ``trusted_on`` loop;
 - concurrent readers vs. the watch loop: a reader holding the mmap'd
@@ -34,13 +34,11 @@ import pytest
 
 from repro.archive import (
     Archive,
-    ArchiveIndex,
     ArchiveQuery,
     Posting,
     TimelineEntry,
     build_index,
     check_binary_index,
-    encode_binary_index,
     ingest_dataset,
     load_binary_index,
     persist_binary_index,
@@ -65,6 +63,7 @@ from repro.serving import (
     ServingRequestError,
 )
 from repro.store.purposes import TrustPurpose
+from tests import oracle
 from tests.conftest import fsync_off, scan_engine
 
 
@@ -90,8 +89,8 @@ def _probes(query: ArchiveQuery):
     dates = sorted(
         {
             entry.taken_at
-            for timeline in query.index.timelines.values()
-            for entry in timeline
+            for provider in query.index.providers
+            for entry in query.index.timeline(provider)
         }
     )
     return fingerprints, dates
@@ -103,17 +102,19 @@ def _probes(query: ArchiveQuery):
 class TestBinaryCodec:
     def test_round_trip_is_lossless(self, served_archive):
         archive = Archive(served_archive)
-        index = build_index(archive)
         binary = read_binary_index(archive, archive.catalog_hash())
         assert binary is not None
-        assert binary.to_archive_index() == index
+        assert oracle.decoded(binary) == oracle.build_index(archive)
         binary.close()
 
     def test_encoding_is_deterministic(self, served_archive):
-        index = build_index(Archive(served_archive))
-        assert encode_binary_index(index) == encode_binary_index(index)
+        archive = Archive(served_archive)
+        assert build_index(archive).encode() == build_index(archive).encode()
+        assert build_index(archive).encode() == oracle.index_bytes(archive)
 
     def test_open_validates_header_only(self, served_archive):
+        """Open checks the header and the payload checksum; it decodes
+        no record."""
         binary = BinaryIndex(binary_index_path(Archive(served_archive)))
         # Nothing decoded yet: the lazy caches are untouched.
         assert binary._provider_table is None
@@ -124,7 +125,7 @@ class TestBinaryCodec:
     def test_lazy_lookup_decodes_one_posting_list(self, served_archive):
         archive = Archive(served_archive)
         binary = read_binary_index(archive, archive.catalog_hash())
-        index = build_index(archive)
+        index = oracle.build_index(archive)
         fingerprint = sorted(index.postings)[0]
         postings = binary.postings_for(fingerprint)
         assert postings == index.postings[fingerprint]
@@ -229,7 +230,7 @@ def test_index_dump_is_stable_and_parses_back(served_archive, capsys):
     document = json.loads(text)
     assert set(document) == {"catalog_hash", "postings", "timelines"}
     assert text == json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-    parsed = ArchiveIndex(
+    parsed = oracle.ArchiveIndex(
         catalog_hash=document["catalog_hash"],
         postings={
             fp: tuple(
@@ -248,14 +249,14 @@ def test_index_dump_is_stable_and_parses_back(served_archive, capsys):
             for provider, rows in document["timelines"].items()
         },
     )
-    assert parsed == build_index(Archive(served_archive))
+    assert parsed == oracle.build_index(Archive(served_archive))
 
 
 # -- query equivalence -----------------------------------------------------
 
 
 class TestBinaryQueryEquivalence:
-    """``trust.bin`` answers exactly as a manifest scan (:func:`build_index`)."""
+    """``trust.bin`` answers exactly as a manifest scan (the oracle index)."""
 
     @pytest.fixture(scope="class")
     def engines(self, served_archive):
@@ -360,7 +361,7 @@ class TestReaderVsWatchLoop:
         archive = Archive(root)
 
         held = load_binary_index(archive)
-        before = held.to_archive_index()
+        before = oracle.decoded(held)
         old_hash = held.catalog_hash
 
         world.advance()
@@ -372,7 +373,7 @@ class TestReaderVsWatchLoop:
         # …but the held mapping still reads the *old inode*, completely
         # and consistently: same catalog hash, same decoded content.
         assert held.catalog_hash == old_hash
-        assert held.to_archive_index() == before
+        assert oracle.decoded(held) == before
         assert held.verify_payload()
         held.close()
         current.close()

@@ -77,8 +77,8 @@ def probe(served_archive):
     fingerprints = sorted(query.index.postings)[:4]
     when = max(
         entry.taken_at
-        for timeline in query.index.timelines.values()
-        for entry in timeline
+        for provider in query.index.providers
+        for entry in query.index.timeline(provider)
     )
     return fingerprints, when
 
